@@ -1032,16 +1032,14 @@ pub fn recovery_replay(seed: u64, cfg: &PerfConfig) -> WorkloadReport {
         .durability(dcfg)
         .build();
     let disk = MemDisk::new();
-    let net = simnet::Network::new(2);
-    let local = [NodeId::new(0), NodeId::new(1)];
-    let cluster = causal_dsm::CausalCluster::with_durable_transport(
-        config.clone(),
-        None,
-        net,
-        &local,
-        vec![(NodeId::new(0), Box::new(disk.clone()) as Box<dyn Disk>)],
-    )
-    .expect("build cluster");
+    let cluster = causal_dsm::CausalCluster::<memcore::Word>::builder(2, LOCATIONS)
+        .configure(|c| c.durability(dcfg))
+        .disks(vec![(
+            NodeId::new(0),
+            Box::new(disk.clone()) as Box<dyn Disk>,
+        )])
+        .build()
+        .expect("build cluster");
 
     // Populate: node 0 writes its own (even) locations — zero-message
     // certified writes, each appending one WAL record.

@@ -3,7 +3,7 @@
 //! experiment index) plus the A1–A4 ablations.
 //!
 //! Run `cargo run -p dsm-bench --bin repro` for the full report, or the
-//! Criterion benches (`cargo bench`) for wall-clock measurements.
+//! `perf` binary for wall-clock measurements.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

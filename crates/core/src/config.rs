@@ -3,7 +3,6 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 use dsm_durable::DurableConfig;
 use memcore::{OwnerMap, PageId, RoundRobinOwners, Value};
@@ -122,8 +121,6 @@ pub struct CausalConfig<V> {
     policy: WritePolicy,
     cache_capacity: Option<usize>,
     const_pages: HashSet<PageId>,
-    owner_timeout: Option<Duration>,
-    owner_retries: u32,
     pipeline_window: u32,
     batching: bool,
     failover: Option<FailoverConfig>,
@@ -207,26 +204,6 @@ impl<V: Value> CausalConfig<V> {
         self.const_pages.contains(&page)
     }
 
-    /// How long one owner round-trip may wait for its reply before the
-    /// engine re-checks for shutdown and, after
-    /// [`owner_retries`](CausalConfig::owner_retries) further windows,
-    /// fails with [`memcore::MemoryError::Timeout`].
-    ///
-    /// `None` (the default) waits forever — the paper's model, where the
-    /// network is reliable and owners always answer.
-    #[must_use]
-    pub fn owner_timeout(&self) -> Option<Duration> {
-        self.owner_timeout
-    }
-
-    /// Number of additional timeout windows an owner round-trip waits
-    /// through before giving up (ignored unless
-    /// [`owner_timeout`](CausalConfig::owner_timeout) is set).
-    #[must_use]
-    pub fn owner_retries(&self) -> u32 {
-        self.owner_retries
-    }
-
     /// Maximum number of pipelined writes a node may have in flight to one
     /// owner at a time (the paper's "reducing the blocking of processors"
     /// enhancement, bounded).
@@ -290,8 +267,6 @@ impl<V> fmt::Debug for CausalConfig<V> {
             .field("policy", &self.policy)
             .field("cache_capacity", &self.cache_capacity)
             .field("const_pages", &self.const_pages.len())
-            .field("owner_timeout", &self.owner_timeout)
-            .field("owner_retries", &self.owner_retries)
             .field("pipeline_window", &self.pipeline_window)
             .field("batching", &self.batching)
             .field("failover", &self.failover)
@@ -327,8 +302,6 @@ pub struct CausalConfigBuilder<V> {
     policy: WritePolicy,
     cache_capacity: Option<usize>,
     const_pages: HashSet<PageId>,
-    owner_timeout: Option<Duration>,
-    owner_retries: u32,
     pipeline_window: u32,
     batching: bool,
     failover: Option<FailoverConfig>,
@@ -350,8 +323,6 @@ impl<V: Value + Default> CausalConfigBuilder<V> {
             policy: WritePolicy::default(),
             cache_capacity: None,
             const_pages: HashSet::new(),
-            owner_timeout: None,
-            owner_retries: 0,
             pipeline_window: 0,
             batching: false,
             failover: None,
@@ -421,25 +392,6 @@ impl<V: Value> CausalConfigBuilder<V> {
     #[must_use]
     pub fn const_pages(mut self, pages: impl IntoIterator<Item = PageId>) -> Self {
         self.const_pages.extend(pages);
-        self
-    }
-
-    /// Bounds each owner round-trip wait to `timeout` per window (default:
-    /// wait forever, the paper's reliable-network assumption). Set this
-    /// when the transport can lose messages, so blocked operations fail
-    /// with [`memcore::MemoryError::Timeout`] instead of hanging.
-    #[must_use]
-    pub fn owner_timeout(mut self, timeout: Duration) -> Self {
-        self.owner_timeout = Some(timeout);
-        self
-    }
-
-    /// Grants `retries` additional timeout windows before an owner
-    /// round-trip gives up (default 0; meaningful only with
-    /// [`owner_timeout`](CausalConfigBuilder::owner_timeout)).
-    #[must_use]
-    pub fn owner_retries(mut self, retries: u32) -> Self {
-        self.owner_retries = retries;
         self
     }
 
@@ -517,8 +469,6 @@ impl<V: Value> CausalConfigBuilder<V> {
             policy: self.policy,
             cache_capacity: self.cache_capacity,
             const_pages: self.const_pages,
-            owner_timeout: self.owner_timeout,
-            owner_retries: self.owner_retries,
             pipeline_window: self.pipeline_window,
             batching: self.batching,
             failover: self.failover,
@@ -634,15 +584,16 @@ mod tests {
     }
 
     #[test]
-    fn owner_timeout_defaults_to_forever() {
+    fn retry_policy_lives_in_the_failover_config() {
+        // Without failover an owner round trip waits forever (the paper's
+        // reliable network); with it, `max_retries` bounds the attempts.
         let config = CausalConfig::<Word>::builder(2, 4).build();
-        assert_eq!(config.owner_timeout(), None);
-        assert_eq!(config.owner_retries(), 0);
-        let config = CausalConfig::<Word>::builder(2, 4)
-            .owner_timeout(Duration::from_millis(50))
-            .owner_retries(3)
-            .build();
-        assert_eq!(config.owner_timeout(), Some(Duration::from_millis(50)));
-        assert_eq!(config.owner_retries(), 3);
+        assert_eq!(config.failover(), None);
+        let fo = FailoverConfig {
+            max_retries: 3,
+            ..FailoverConfig::default()
+        };
+        let config = CausalConfig::<Word>::builder(2, 4).failover(fo).build();
+        assert_eq!(config.failover().map(|f| f.max_retries), Some(3));
     }
 }

@@ -1,478 +1,180 @@
-//! The threaded engine: one server thread per node, application handles
-//! that block on owner round-trips.
+//! The threaded engine: a shell around one [`NodeDriver`] per node.
 //!
 //! The paper requires that "each operation must be executed atomically and
 //! owners must fairly alternate between issuing reads and writes and
-//! responding to READ and WRITE messages from other processors". The engine
-//! realizes this with one *server* thread per node (servicing `READ`/`WRITE`
-//! requests) and per-node application handles whose operations take the
-//! node's state lock only for the atomic steps of Figure 4, releasing it
-//! while blocked on a reply — so a node can serve incoming requests while
-//! one of its own operations waits, which is exactly the fair alternation
-//! the paper asks for (and what makes the protocol deadlock-free).
+//! responding to READ and WRITE messages from other processors". The
+//! driver holds every protocol decision; this shell only runs it. Each
+//! node's driver sits under one lock. Application handles submit
+//! operations and park until the driver completes them; a per-node
+//! *server* loop (a thread, or the transport's own I/O thread for an
+//! inline build) delivers inbound messages; with failover configured, a
+//! ticker thread drives heartbeats and retry deadlines. A blocked
+//! operation holds no lock, so a node serves requests while one of its own
+//! operations waits, which is exactly the fair alternation the paper asks
+//! for (and what makes the protocol deadlock-free).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use dsm_durable::{Disk, Store, WalRecord};
 use memcore::{
-    Location, MemoryError, NetStats, NodeId, OpRecord, PageId, Recorder, SharedMemory, Value,
-    WriteId,
+    Location, MemoryError, NetStats, NodeId, OpRecord, Recorder, SharedMemory, Value, WriteId,
 };
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use simnet::codec::Wire;
-use simnet::{BatchPolicy, Batcher, Envelope, Network};
+use simnet::{Envelope, Network};
 use vclock::VectorClock;
 
-use crate::config::{CausalConfig, CausalConfigBuilder, FailoverConfig};
+use crate::config::{CausalConfig, CausalConfigBuilder};
+use crate::driver::{Done, Effects, NodeDriver, NodeOp};
 use crate::msg::Msg;
-use crate::state::{CausalState, ReadStep, WriteDone, WriteStep};
+use crate::state::{CausalState, WriteDone};
 
-/// What reply the one outstanding owner round-trip is waiting for. Replies
-/// are recognized by *content* — the page of a READ, the unique tag of a
-/// WRITE — so a stale reply left over from a previously timed-out
-/// operation is silently discarded instead of being misattributed (the
-/// regression `Timeout` used to make unrecoverable). Under failover the
-/// op stamp is matched as well.
-#[derive(Clone, Copy, Debug)]
-enum Want {
-    Read { page: PageId },
-    Write { wid: WriteId },
-}
+/// Where a node's durability journal goes: appends records (returning
+/// once they are as durable as the store's sync policy promises) and
+/// checkpoints from the state when enough accumulated. A closure, so the
+/// engine itself needs no `Wire` bound on `V` — only the builder's
+/// [`disks`](CausalClusterBuilder::disks) option, which opens real
+/// [`Store`]s, does.
+type Journal<V> = Box<dyn FnMut(&[WalRecord<V>], &CausalState<V>) + Send>;
 
-#[derive(Clone, Copy, Debug)]
-struct Expected {
-    /// The op id the reply must echo (failover only).
-    op: Option<u64>,
-    want: Want,
-}
-
-/// Sender-side state of the bounded write pipeline: which owner the open
-/// window points at, how many pipelined writes are outstanding toward it
-/// (sent *or* still buffered), and — with transport batching on — the run
-/// of WRITE requests accumulated but not yet put on the wire.
-///
-/// Invariant: `in_flight == 0` iff `owner == None` iff the batcher is
-/// empty. The window only ever points at one owner at a time; switching
-/// owners requires a full drain (see `drain_pipeline_locked` for why).
-struct PipelineState<V: Value> {
-    owner: Option<NodeId>,
-    in_flight: usize,
-    batcher: Batcher<Msg<V>>,
-}
-
-/// Where a node's durability journal goes. A trait object so the engine
-/// itself needs no `Wire` bound on `V` — only the durable constructors
-/// (which open real [`Store`]s) do.
-trait JournalSink<V: Value>: Send + Sync {
-    /// Appends one batch of records, returning once they are as durable
-    /// as the store's sync policy promises.
-    fn persist(&self, records: &[WalRecord<V>]);
-    /// Whether enough records accumulated that the caller should
-    /// checkpoint.
-    fn wants_checkpoint(&self) -> bool;
-    /// Installs `image` as the new checkpoint, compacting the log.
-    fn checkpoint(&self, image: &[WalRecord<V>]);
-}
-
-struct StoreSink<V>(Mutex<Store<V>>);
-
-impl<V: Value + Wire> JournalSink<V> for StoreSink<V> {
-    fn persist(&self, records: &[WalRecord<V>]) {
-        self.0.lock().append(records);
-    }
-
-    fn wants_checkpoint(&self) -> bool {
-        self.0.lock().wants_checkpoint()
-    }
-
-    fn checkpoint(&self, image: &[WalRecord<V>]) {
-        self.0.lock().checkpoint(image);
-    }
-}
-
-/// Per-node boot material for a durable build: the WAL sink plus the
+/// Per-node boot material for a durable build: the journal plus the
 /// state recovered from (or freshly created against) its disk.
 struct DurableBoot<V: Value> {
-    sink: Arc<dyn JournalSink<V>>,
+    journal: Journal<V>,
     state: CausalState<V>,
 }
 
+/// Opens each disk of a durable build once the configuration is known.
+type OpenDisks<V> = Box<dyn FnOnce(&CausalConfig<V>) -> Vec<(NodeId, DurableBoot<V>)>>;
+
+/// What an operation's caller receives: its result, or `Shutdown`.
+type Completion<V> = Result<Done<V>, MemoryError>;
+
 struct NodeShared<V: Value> {
-    /// Protocol state. A reader–writer lock: cache-hit reads are
+    /// The node's driver. A reader–writer lock: cache-hit reads are
     /// non-mutating (Figure 4's read procedure touches no state on a hit)
     /// and run under the shared lock, concurrently with each other;
-    /// everything that moves the clock takes the exclusive lock.
-    state: RwLock<CausalState<V>>,
-    /// Serializes this node's application operations (program order) and
-    /// guards the one-outstanding-remote-op invariant (`replies` carries
-    /// at most one in-flight reply). Cache-hit reads don't take it.
+    /// every driver call takes the exclusive lock.
+    driver: RwLock<NodeDriver<V>>,
+    /// Orders this node's sends; see [`NodeShared::commit`].
+    send_order: Mutex<()>,
+    /// Serializes this node's application operations (program order):
+    /// the driver takes one outstanding operation at a time. Cache-hit
+    /// reads and owner-local writes on an idle pipeline don't take it.
     op_lock: Mutex<()>,
-    /// Replies forwarded by the server thread to the blocked operation.
-    replies: Receiver<Msg<V>>,
-    /// Tags of outstanding non-blocking writes, mapped to whether each
-    /// belongs to the bounded pipeline (`true`) or is a raw
-    /// [`CausalHandle::write_nonblocking`] (`false`); their replies are
-    /// absorbed by the server thread instead of waking the application.
-    nonblocking: Mutex<HashMap<memcore::WriteId, bool>>,
-    /// `nonblocking.len()`, readable without the mutex: the server thread
-    /// checks it before locking, so clusters that never use non-blocking
-    /// writes pay nothing on the reply path.
-    ///
-    /// Ordering audit — the Release/Acquire pair is load-bearing:
-    ///
-    /// * **Publish.** The application inserts into the registry and
-    ///   `fetch_add(1, Release)`s *before* sending the WRITE. Every reply
-    ///   the server receives sits causally downstream of that send
-    ///   (mailbox send → owner recv → reply send → server recv, each a
-    ///   release/acquire edge), so whenever a reply for a registered tag
-    ///   can be in the mailbox, the server's `load(Acquire)` observes a
-    ///   non-zero count and takes the registry lock. A stale zero read is
-    ///   only possible when no registered reply is in flight — exactly
-    ///   when skipping the lock is correct.
-    /// * **Retire.** The server `fetch_sub(1, Release)`s only *after*
-    ///   absorbing the reply into the state, so an observer that sees the
-    ///   count drop also sees the merged clock (this is what lets
-    ///   [`CausalHandle::flush`] treat a drained pipeline as "all replies
-    ///   in `VT_i`").
-    /// * **Rollback.** If the send itself fails after registration, the
-    ///   writer removes the entry and decrements on the spot (regression
-    ///   test `send_failure_rolls_back_nonblocking_registration` in
-    ///   `tests/hot_path.rs`). Between insert and rollback the counter
-    ///   overcounts; the only cost is one spurious registry lock on the
-    ///   server.
-    nonblocking_count: AtomicUsize,
-    /// Bounded-pipeline window state; see [`PipelineState`]. Guarded by
-    /// its own mutex (not `op_lock`) because the *server* thread also
-    /// updates it when absorbing pipelined replies.
-    pipeline: Mutex<PipelineState<V>>,
-    /// Signalled (`notify_all`) by the server thread after it absorbs a
-    /// pipelined reply and decrements `in_flight` — the wake-up edge for
-    /// window backpressure and [`CausalHandle::flush`].
-    pipeline_cv: Condvar,
-    /// The node's write-ahead log, if this is a durable build. `None`
-    /// keeps every journal hook on the zero-cost path.
-    wal: Option<Arc<dyn JournalSink<V>>>,
+    /// Completions of parked operations, sent by the server loop or the
+    /// ticker. Disconnects when both are gone (shutdown).
+    done: Receiver<Completion<V>>,
+    /// The node's write-ahead log, if this is a durable build. Only ever
+    /// locked under the exclusive driver lock.
+    wal: Option<Mutex<Journal<V>>>,
 }
 
 impl<V: Value> NodeShared<V> {
-    /// Runs `f` under the exclusive state lock and, on durable builds,
-    /// appends whatever it journaled *before* the lock is released.
-    ///
-    /// Holding the lock across the append is what makes the log's order
-    /// match the state-mutation order: the server thread and application
-    /// threads both mutate this node's state, and two installs to the
-    /// same slot must reach the log in install order or replay resurrects
-    /// the loser. Callers send replies only after this returns, so a
-    /// certified operation is as durable as the sync policy promises.
-    fn mutate<R>(&self, f: impl FnOnce(&mut CausalState<V>) -> R) -> R {
-        let mut st = self.state.write();
-        let r = f(&mut st);
-        if self.wal.is_some() {
-            self.persist_locked(&mut st);
-        }
-        r
-    }
-
-    /// Drains and appends the journal; caller holds the exclusive state
-    /// lock. Checkpoints are taken here too, still under the lock — every
-    /// append also requires the lock, so nothing can slip a record into
-    /// the log between the image capture and the commit that resets it.
-    fn persist_locked(&self, st: &mut CausalState<V>) {
-        let Some(wal) = &self.wal else { return };
-        let records = st.take_journal();
-        if records.is_empty() {
-            return;
-        }
-        wal.persist(&records);
-        if wal.wants_checkpoint() {
-            let image = st.durable_image();
-            wal.checkpoint(&image);
-        }
-    }
-}
-
-/// Shutdown latch for the heartbeat tickers: a flag under a mutex plus a
-/// condvar. `shutdown()` raising the flag wakes sleepers immediately,
-/// where a plain `thread::sleep` between flag checks used to stretch
-/// shutdown by up to one full heartbeat interval.
-struct StopSignal {
-    stopped: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl StopSignal {
-    fn new() -> Self {
-        StopSignal {
-            stopped: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Raises the flag and wakes every waiter.
-    fn stop(&self) {
-        *self.stopped.lock() = true;
-        self.cv.notify_all();
-    }
-
-    /// Whether the flag has been raised.
-    fn is_stopped(&self) -> bool {
-        *self.stopped.lock()
-    }
-
-    /// Sleeps for `timeout` unless stopped first; returns `true` iff the
-    /// signal was raised (immediately if it already was).
-    fn wait_for(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.stopped.lock();
-        while !*guard {
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (g, _) = self
-                .cv
-                .wait_timeout(guard, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            guard = g;
-        }
-        true
-    }
-}
-
-/// Puts a run of buffered pipelined WRITEs on the wire as one envelope (a
-/// single message, or [`Msg::Batch`] for runs of two or more), rolling
-/// back the run's window slots and registry entries if the transport is
-/// down. Caller holds the pipeline lock. A free function because both
-/// sides of the pipeline send: the application thread
-/// (`write_pipelined`/`flush`) and the server loop, which ships the run
-/// that accumulated during a round trip the moment the wire drains (the
-/// adaptive-batching hand-off).
-fn send_run_locked<V: Value>(
-    net: &Network<Msg<V>>,
-    src: NodeId,
-    node: &NodeShared<V>,
-    p: &mut PipelineState<V>,
-    owner: NodeId,
-    mut run: Vec<Msg<V>>,
-) -> Result<(), MemoryError> {
-    let wids: Vec<memcore::WriteId> = run
-        .iter()
-        .filter_map(|m| match m {
-            Msg::Write { wid, .. } => Some(*wid),
-            _ => None,
-        })
-        .collect();
-    let envelope = if run.len() == 1 {
-        run.pop().expect("length checked")
-    } else {
-        Msg::Batch(run)
-    };
-    if net.send(src, owner, envelope).is_err() {
-        // A failed send means the network has shut down, which is
-        // terminal for the session: every later operation on this
-        // handle also fails with `Shutdown`, and no reply will ever
-        // arrive for any member of the run. That is what makes it
-        // sound to unregister the *entire* run — including earlier
-        // `write_pipelined` calls that already returned `Ok(wid)` to
-        // their callers (their VT increments and optimistic cache
-        // installs stay applied) — rather than only the write being
-        // issued: nothing can observe the orphaned registrations, and
-        // leaving them would wedge a later `flush()` on replies that
-        // cannot come. If sends ever become retryable, this must be
-        // narrowed to the failing write only.
-        let mut registry = node.nonblocking.lock();
-        for wid in &wids {
-            if registry.remove(wid).is_some() {
-                node.nonblocking_count.fetch_sub(1, Ordering::Release);
+    /// Carries out one driver call's effects, releasing the exclusive
+    /// driver lock the call ran under. Journal records are appended
+    /// first, under that lock, so a certified operation is as durable as
+    /// the sync policy promises before any reply leaves, and the log's
+    /// order matches the state-mutation order; checkpoints are taken
+    /// under the same lock, so no record slips in between the image
+    /// capture and the commit. The send lock is taken before the driver
+    /// lock is dropped, so the wire carries each node's sends in the
+    /// order its driver emitted them while the driver is free for the
+    /// next event during the sends. Returns the completion and whether
+    /// every send went through.
+    fn commit(
+        &self,
+        driver: RwLockWriteGuard<'_, NodeDriver<V>>,
+        me: NodeId,
+        net: &Network<Msg<V>>,
+        fx: Effects<V>,
+    ) -> (Option<Completion<V>>, bool) {
+        if let Some(wal) = &self.wal {
+            if !fx.wal.is_empty() {
+                (wal.lock())(&fx.wal, driver.state());
             }
         }
-        drop(registry);
-        p.in_flight -= wids.len();
-        if p.in_flight == 0 {
-            p.owner = None;
+        if fx.outgoing.is_empty() {
+            return (fx.done, true);
         }
-        return Err(MemoryError::Shutdown);
+        let _order = self.send_order.lock();
+        drop(driver);
+        let mut sent = true;
+        for (dst, msg) in fx.outgoing {
+            sent &= net.send(me, dst, msg).is_ok();
+        }
+        (fx.done, sent)
     }
-    Ok(())
 }
 
-/// One node's server loop as a value: everything the per-node server
-/// thread used to close over, with the thread's `match` body factored
-/// into [`ServerCtx::process`] so a transport can run the loop on its own
-/// I/O thread instead (see [`InlineServer`]).
+/// The driver's clock: milliseconds since cluster start under failover,
+/// which alone reads time (heartbeats, retry deadlines); constant
+/// otherwise, so the common path never reads the clock.
+#[derive(Clone, Copy)]
+struct Clock(Option<Instant>);
+
+impl Clock {
+    fn now(self) -> u64 {
+        self.0.map_or(0, |start| start.elapsed().as_millis() as u64)
+    }
+}
+
+/// One node's server loop as a value, shared by the thread (or transport)
+/// that delivers its messages and by its ticker.
 struct ServerCtx<V: Value> {
     me: NodeId,
     node: Arc<NodeShared<V>>,
     net: Network<Msg<V>>,
-    /// Wakes the application operation blocked on `NodeShared::replies`.
-    /// Held here (not by a thread) in inline mode, so dropping the
-    /// transport's sink is what disconnects blocked handles.
-    reply_tx: Sender<Msg<V>>,
-    failover_on: bool,
-    clock_start: Instant,
+    /// Wakes the application operation parked on `NodeShared::done`.
+    /// Held only here, so dropping the server loop (and ticker) is what
+    /// disconnects parked handles.
+    done_tx: Sender<Completion<V>>,
+    clock: Clock,
 }
 
 impl<V: Value> ServerCtx<V> {
-    /// Executes the server loop's body for one inbound envelope: serve
-    /// requests (Figure 4's owner side), absorb or forward replies, feed
-    /// the failure detector. Returns `false` on [`Msg::Halt`] — the
-    /// loop's exit signal.
-    fn process(&self, env: Envelope<Msg<V>>) -> bool {
-        let me = self.me;
-        let node = &self.node;
-        let net = &self.net;
-        if self.failover_on && env.src != me {
-            // Any message is liveness evidence.
-            let now = self.clock_start.elapsed().as_millis() as u64;
-            node.state.write().record_alive(env.src, now);
+    /// Runs one driver call, hands a completion to the parked operation,
+    /// and returns when the driver next wants a tick. Sends are best
+    /// effort: a peer may already be shutting down.
+    fn run(&self, f: impl FnOnce(&mut NodeDriver<V>) -> Effects<V>) -> Option<u64> {
+        let mut driver = self.node.driver.write();
+        let fx = f(&mut driver);
+        let next = fx.next_timer;
+        let (done, _) = self.node.commit(driver, self.me, &self.net, fx);
+        if let Some(done) = done {
+            let _ = self.done_tx.send(done);
         }
-        match env.payload {
-            Msg::Halt => return false,
-            Msg::Heartbeat { .. } => {}
-            Msg::Suspect { suspect, epochs } => {
-                let repl = node.mutate(|st| {
-                    st.absorb_suspect(suspect, &epochs);
-                    st.take_replications()
-                });
-                for (dst, msg) in repl {
-                    let _ = net.send(me, dst, msg);
-                }
-            }
-            Msg::Replicate {
-                page,
-                vt,
-                slots,
-                origins,
-            } => {
-                node.mutate(|st| st.apply_replicate(page, vt.into_inner(), slots, origins));
-            }
-            Msg::Interest { page } => {
-                // A peer evicted its copy: stop counting it as interested.
-                node.mutate(|st| st.handle_interest_drop(page, env.src));
-            }
-            Msg::Stamped { epoch, op, inner } if inner.is_request() => {
-                let (reply, repl) = node.mutate(|st| {
-                    let reply = st.serve_stamped(env.src, epoch, op, *inner);
-                    (reply, st.take_replications())
-                });
-                if let Some(reply) = reply {
-                    let _ = net.send(me, env.src, reply);
-                }
-                for (dst, msg) in repl {
-                    let _ = net.send(me, dst, msg);
-                }
-            }
-            Msg::Batch(parts) => {
-                // A transport batch is semantically its parts, in order.
-                // Requests are served in one state-lock pass with a single
-                // coalesced invalidation sweep, and their replies travel
-                // back as one envelope (the piggybacked acks); reply parts
-                // are absorbed/forwarded exactly as if they arrived alone.
-                let mut requests = Vec::with_capacity(parts.len());
-                for part in parts {
-                    if part.is_request() {
-                        requests.push(part);
-                    } else {
-                        self.absorb_or_forward(part);
-                    }
-                }
-                if !requests.is_empty() {
-                    let mut replies = node.mutate(|st| st.serve_batch(env.src, requests));
-                    let reply = if replies.len() == 1 {
-                        replies.pop().expect("length checked")
-                    } else {
-                        Msg::Batch(replies)
-                    };
-                    let _ = net.send(me, env.src, reply);
-                }
-            }
-            request if request.is_request() => {
-                let reply = node
-                    .mutate(|st| st.serve(env.src, request))
-                    .expect("requests always produce replies");
-                // Best effort: the requester may already be shutting down.
-                let _ = net.send(me, env.src, reply);
-            }
-            reply => self.absorb_or_forward(reply),
-        }
-        true
+        next
     }
 
-    /// Replies to non-blocking/pipelined writes are absorbed here;
-    /// everything else wakes the blocked application operation. The
-    /// counter check keeps the common (blocking-only) reply path off the
-    /// registry mutex entirely.
-    fn absorb_or_forward(&self, reply: Msg<V>) {
-        let node = &self.node;
-        let absorbed = match &reply {
-            Msg::WriteReply { wid, .. } if node.nonblocking_count.load(Ordering::Acquire) > 0 => {
-                node.nonblocking.lock().remove(wid)
-            }
-            _ => None,
-        };
-        match absorbed {
-            Some(pipelined) => {
-                node.state.write().absorb_write_reply(reply);
-                // Decrement only after absorbing, so a drained pipeline
-                // implies the merged clock (see the field's ordering
-                // audit).
-                node.nonblocking_count.fetch_sub(1, Ordering::Release);
-                if pipelined {
-                    let mut p = node.pipeline.lock();
-                    p.in_flight -= 1;
-                    if p.in_flight == 0 {
-                        p.owner = None;
-                    } else if !p.batcher.is_empty() && p.in_flight == p.batcher.len() {
-                        // The wire just drained but writes accumulated
-                        // during the round trip: ship them now, as one
-                        // envelope. Together with `write_pipelined`'s
-                        // eager first send this makes batching adaptive —
-                        // a burst's first write travels alone (latency),
-                        // and the run that built up behind it coalesces
-                        // (throughput), sized by the round trip rather
-                        // than a fixed count.
-                        let owner = p.owner.expect("buffered writes always have an owner");
-                        let run = p.batcher.take();
-                        // A send failure means engine shutdown; the
-                        // rollback inside leaves the window consistent
-                        // and the notify below wakes any flush() waiter.
-                        let _ = send_run_locked(&self.net, self.me, node, &mut p, owner, run);
-                    }
-                    drop(p);
-                } else {
-                    // flush() waits on `nonblocking_count` under the
-                    // pipeline mutex; touching the mutex between the
-                    // decrement and the notify makes that wait
-                    // lost-wakeup-free (a waiter either sees the new
-                    // count or is already parked on the condvar).
-                    drop(node.pipeline.lock());
-                }
-                node.pipeline_cv.notify_all();
-            }
-            None => {
-                let _ = self.reply_tx.send(reply);
-            }
+    /// Delivers one inbound envelope. Returns `false` on [`Msg::Halt`] —
+    /// the loop's exit signal.
+    fn process(&self, env: Envelope<Msg<V>>) -> bool {
+        if matches!(env.payload, Msg::Halt) {
+            return false;
         }
+        let now = self.clock.now();
+        self.run(|d| d.deliver(now, env.src, env.payload));
+        true
     }
 }
 
 /// A single node's server loop, handed to the transport instead of a
-/// thread: built by [`CausalCluster::with_inline_transport`], consumed by
-/// an I/O layer (such as `dsm-net`'s poller) that calls
+/// thread: built by [`CausalClusterBuilder::build_inline`], consumed by an
+/// I/O layer (such as `dsm-net`'s poller) that calls
 /// [`InlineServer::deliver`] for every inbound envelope it decodes.
 ///
-/// Exactly one I/O thread must drive it — the engine relies on the
-/// per-node server loop being single-threaded, and an event-loop
-/// transport's one poller satisfies that the same way the engine's own
-/// server thread did.
+/// Exactly one I/O thread must drive it: the node's messages must be
+/// delivered in arrival order, which an event-loop transport's one poller
+/// guarantees the same way the engine's own server thread does.
 pub struct InlineServer<V: Value> {
     ctx: Arc<ServerCtx<V>>,
-    stop: Arc<StopSignal>,
+    /// Disconnects at shutdown.
+    stop: Receiver<()>,
 }
 
 impl<V: Value> InlineServer<V> {
@@ -485,7 +187,8 @@ impl<V: Value> InlineServer<V> {
     /// down (or the envelope was [`Msg::Halt`]) — the transport should
     /// stop delivering.
     pub fn deliver(&self, env: Envelope<Msg<V>>) -> Result<(), MemoryError> {
-        if self.stop.is_stopped() || !self.ctx.process(env) {
+        let stopped = matches!(self.stop.try_recv(), Err(TryRecvError::Disconnected));
+        if stopped || !self.ctx.process(env) {
             return Err(MemoryError::Shutdown);
         }
         Ok(())
@@ -510,15 +213,17 @@ struct ClusterInner<V: Value> {
     config: CausalConfig<V>,
     net: Network<Msg<V>>,
     nodes: Vec<Arc<NodeShared<V>>>,
-    /// The nodes whose server threads run in this process — all of them
+    /// The nodes whose server loops run in this process — all of them
     /// for an in-process cluster, a subset when the cluster spans
     /// processes over a remote transport.
     local: Vec<NodeId>,
     recorder: Option<Recorder<V>>,
     servers: Mutex<Vec<JoinHandle<()>>>,
-    /// Signals the heartbeat tickers (spawned only with failover
-    /// configured) to exit.
-    stop: Arc<StopSignal>,
+    /// One stop latch per ticker (spawned only with failover configured)
+    /// and inline server: shutdown drops them, which disconnects their
+    /// receivers at once — even out of a ticker's interval wait.
+    stops: Mutex<Vec<Sender<()>>>,
+    clock: Clock,
 }
 
 /// A running causal DSM: `n` nodes connected by a reliable FIFO network,
@@ -547,11 +252,14 @@ pub struct CausalCluster<V: Value> {
     inner: Arc<ClusterInner<V>>,
 }
 
-/// Builder for [`CausalCluster`]; wraps [`CausalConfigBuilder`] plus
-/// engine-level options (operation recording).
+/// Builder for [`CausalCluster`]: the protocol configuration plus the
+/// engine's options — operation recording, the transport and the nodes
+/// this process hosts, per-node disks, and an inline build.
 pub struct CausalClusterBuilder<V: Value> {
     config: CausalConfigBuilder<V>,
     recorder: Option<Recorder<V>>,
+    transport: Option<(Network<Msg<V>>, Vec<NodeId>)>,
+    disks: Option<OpenDisks<V>>,
 }
 
 impl<V: Value + Default> CausalCluster<V> {
@@ -566,6 +274,8 @@ impl<V: Value + Default> CausalCluster<V> {
         CausalClusterBuilder {
             config: CausalConfig::builder(nodes, locations),
             recorder: None,
+            transport: None,
+            disks: None,
         }
     }
 }
@@ -589,45 +299,84 @@ impl<V: Value> CausalClusterBuilder<V> {
         self
     }
 
-    /// Builds the cluster and spawns its server threads.
+    /// Runs over an existing transport, hosting only the nodes in `local`
+    /// (default: a fresh in-process [`Network`] hosting every node).
+    ///
+    /// This is how a cluster spans processes: each process builds a
+    /// [`Network::partial`] whose remote link carries envelopes
+    /// off-process (e.g. `dsm-net`'s TCP mesh), then builds its share of
+    /// the cluster with the node ids it hosts. Server loops and tickers
+    /// run only for `local` nodes; handles exist only for them. Remote
+    /// peers are reached through the same `send` path, so the message
+    /// bills stay comparable to the in-process transport.
+    ///
+    /// The build panics if the network's size differs from the configured
+    /// node count, `local` is empty, or any id in `local` has no mailbox
+    /// in this process.
+    #[must_use]
+    pub fn transport(mut self, net: Network<Msg<V>>, local: &[NodeId]) -> Self {
+        self.transport = Some((net, local.to_vec()));
+        self
+    }
+
+    /// Gives each `(node, disk)` pair's node a write-ahead log (see
+    /// `dsm_durable`). A disk that already holds state makes the node
+    /// *recover* — replaying its checkpoint and log tail into page images,
+    /// origin clocks, and the owner-epoch table — and rejoin as a full
+    /// peer under a bumped incarnation.
+    ///
+    /// The build panics if the configuration carries no
+    /// [`durability`](crate::CausalConfigBuilder::durability) setting or
+    /// a disk is supplied for a node this process does not host.
+    #[must_use]
+    pub fn disks(mut self, disks: Vec<(NodeId, Box<dyn Disk>)>) -> Self
+    where
+        V: Wire,
+    {
+        self.disks = Some(Box::new(move |config: &CausalConfig<V>| {
+            let dcfg = config
+                .durability()
+                .expect("durable build requires a durability config");
+            disks
+                .into_iter()
+                .map(|(id, disk)| {
+                    let (mut store, recovered) = Store::open(disk, dcfg);
+                    let incarnation = recovered.next_incarnation();
+                    let state = if recovered.is_virgin() {
+                        CausalState::new(id, config.clone())
+                    } else {
+                        CausalState::recover(id, config.clone(), recovered.records, incarnation)
+                    };
+                    let journal: Journal<V> = Box::new(move |records, state| {
+                        store.append(records);
+                        if store.wants_checkpoint() {
+                            store.checkpoint(&state.durable_image());
+                        }
+                    });
+                    (id, DurableBoot { journal, state })
+                })
+                .collect()
+        }));
+        self
+    }
+
+    /// Builds the cluster and spawns a server thread per hosted node.
     ///
     /// # Errors
     ///
     /// Currently infallible; returns `Result` for forward compatibility
     /// with fallible transports.
     pub fn build(self) -> Result<CausalCluster<V>, MemoryError> {
-        let config = self.config.build();
-        CausalCluster::with_config(config, self.recorder)
-    }
-}
-
-impl<V: Value> CausalCluster<V> {
-    /// Builds a cluster from an explicit configuration.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; returns `Result` for forward compatibility.
-    pub fn with_config(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-    ) -> Result<Self, MemoryError> {
-        let n = config.nodes() as usize;
-        let net: Network<Msg<V>> = Network::new(n);
-        let local: Vec<NodeId> = (0..n).map(|i| NodeId::new(i as u32)).collect();
-        Self::with_transport(config, recorder, net, &local)
+        self.build_engine(false).map(|(cluster, _)| cluster)
     }
 
-    /// Builds a cluster over an existing transport, hosting only the nodes
-    /// in `local`.
-    ///
-    /// This is how a cluster spans processes: each process builds a
-    /// [`Network::partial`](simnet::Network) whose remote link carries
-    /// envelopes off-process (e.g. `dsm-net`'s TCP mesh), then constructs
-    /// its share of the cluster with the node ids it hosts. Server and
-    /// heartbeat threads are spawned only for `local` nodes; handles exist
-    /// only for them. The protocol logic is unchanged — remote peers are
-    /// reached through the same `send` path, and the message bills stay
-    /// comparable to the in-process transports.
+    /// Builds a cluster hosting exactly one node, spawning **no server
+    /// thread**: the returned [`InlineServer`] is the node's server loop
+    /// as a value, and the transport delivers each inbound envelope by
+    /// calling [`InlineServer::deliver`] on its own I/O thread. `dsm-net`'s
+    /// poller serves requests the moment it decodes them — the same
+    /// Figure-4 steps, minus one thread per process and two scheduler hops
+    /// per owner round trip.
     ///
     /// # Errors
     ///
@@ -635,207 +384,108 @@ impl<V: Value> CausalCluster<V> {
     ///
     /// # Panics
     ///
-    /// Panics if the network's size differs from the configured node
-    /// count, `local` is empty, or any id in `local` has no mailbox in
-    /// this process.
-    pub fn with_transport(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-        net: Network<Msg<V>>,
-        local: &[NodeId],
-    ) -> Result<Self, MemoryError> {
-        Self::build_engine(config, recorder, net, local, false, HashMap::new())
-            .map(|(cluster, _)| cluster)
-    }
-
-    /// [`CausalCluster::with_transport`] plus a durability layer: each
-    /// `(node, disk)` pair gives a locally-hosted node a write-ahead log
-    /// (see `dsm_durable`). A disk that already holds state makes the
-    /// node *recover* — replaying its checkpoint and log tail into page
-    /// images, origin clocks, and the owner-epoch table — and rejoin as
-    /// a full peer under a bumped incarnation.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; returns `Result` for forward compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration carries no
-    /// [`durability`](crate::CausalConfigBuilder::durability) setting, a
-    /// disk is supplied for a node not in `local`, or any
-    /// [`CausalCluster::with_transport`] precondition fails.
-    pub fn with_durable_transport(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-        net: Network<Msg<V>>,
-        local: &[NodeId],
-        disks: Vec<(NodeId, Box<dyn Disk>)>,
-    ) -> Result<Self, MemoryError>
-    where
-        V: Wire,
-    {
-        let boots = Self::open_boots(&config, local, disks);
-        Self::build_engine(config, recorder, net, local, false, boots)
-            .map(|(cluster, _)| cluster)
-    }
-
-    /// [`CausalCluster::with_inline_transport`] plus a durability layer
-    /// for the hosted node — what `dsm-server --data-dir` builds.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; returns `Result` for forward compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`CausalCluster::with_durable_transport`].
-    pub fn with_durable_inline_transport(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-        net: Network<Msg<V>>,
-        me: NodeId,
-        disk: Box<dyn Disk>,
-    ) -> Result<(Self, InlineServer<V>), MemoryError>
-    where
-        V: Wire,
-    {
-        let boots = Self::open_boots(&config, &[me], vec![(me, disk)]);
-        Self::build_engine(config, recorder, net, &[me], true, boots)
-            .map(|(cluster, server)| (cluster, server.expect("inline build yields a server")))
-    }
-
-    /// Opens each disk, recovering state where one holds any.
-    fn open_boots(
-        config: &CausalConfig<V>,
-        local: &[NodeId],
-        disks: Vec<(NodeId, Box<dyn Disk>)>,
-    ) -> HashMap<NodeId, DurableBoot<V>>
-    where
-        V: Wire,
-    {
-        let dcfg = config
-            .durability()
-            .expect("durable build requires a durability config");
-        let mut boots = HashMap::new();
-        for (id, disk) in disks {
-            assert!(local.contains(&id), "disk supplied for non-local node {id}");
-            let (store, recovered) = Store::open(disk, dcfg);
-            let incarnation = recovered.next_incarnation();
-            let state = if recovered.is_virgin() {
-                CausalState::new(id, config.clone())
-            } else {
-                CausalState::recover(id, config.clone(), recovered.records, incarnation)
-            };
-            boots.insert(
-                id,
-                DurableBoot {
-                    sink: Arc::new(StoreSink(Mutex::new(store))),
-                    state,
-                },
-            );
-        }
-        boots
-    }
-
-    /// Like [`CausalCluster::with_transport`] for a single local node,
-    /// but spawns **no server thread**: the returned [`InlineServer`] is
-    /// the node's server loop as a value, and the transport delivers each
-    /// inbound envelope by calling [`InlineServer::deliver`] on its own
-    /// I/O thread. `dsm-net`'s poller serves requests the moment it
-    /// decodes them — the same Figure-4 steps, minus one thread per
-    /// process and two scheduler hops per owner round trip.
-    ///
-    /// # Errors
-    ///
-    /// Currently infallible; returns `Result` for forward compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network's size differs from the configured node
-    /// count or `me` has no mailbox in this process.
-    pub fn with_inline_transport(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-        net: Network<Msg<V>>,
-        me: NodeId,
-    ) -> Result<(Self, InlineServer<V>), MemoryError> {
-        Self::build_engine(config, recorder, net, &[me], true, HashMap::new())
+    /// Panics unless the [`transport`](Self::transport) hosts exactly one
+    /// node.
+    pub fn build_inline(self) -> Result<(CausalCluster<V>, InlineServer<V>), MemoryError> {
+        self.build_engine(true)
             .map(|(cluster, server)| (cluster, server.expect("inline build yields a server")))
     }
 
     fn build_engine(
-        config: CausalConfig<V>,
-        recorder: Option<Recorder<V>>,
-        net: Network<Msg<V>>,
-        local: &[NodeId],
+        self,
         inline: bool,
-        mut boots: HashMap<NodeId, DurableBoot<V>>,
-    ) -> Result<(Self, Option<InlineServer<V>>), MemoryError> {
+    ) -> Result<(CausalCluster<V>, Option<InlineServer<V>>), MemoryError> {
+        let config = self.config.build();
         let n = config.nodes() as usize;
+        let (net, local) = self.transport.unwrap_or_else(|| {
+            let all = (0..n).map(|i| NodeId::new(i as u32)).collect();
+            (Network::new(n), all)
+        });
         assert_eq!(net.len(), n, "transport size mismatch");
         assert!(!local.is_empty(), "cluster hosts no local node");
-        // Batch runs never exceed the window (a full window must flush so
-        // its replies can drain), and eight parts per envelope is plenty
-        // to show the coalescing effect without unbounded buffering.
-        let batch_policy = BatchPolicy::by_count((config.pipeline_window() as usize).clamp(1, 8));
+        assert!(
+            !inline || local.len() == 1,
+            "an inline build hosts one node"
+        );
+        let mut boots: HashMap<NodeId, DurableBoot<V>> = self
+            .disks
+            .map(|open| open(&config))
+            .into_iter()
+            .flatten()
+            .collect();
+        for id in boots.keys() {
+            assert!(local.contains(id), "disk supplied for non-local node {id}");
+        }
+        let failover = config.failover();
+        let clock = Clock(failover.map(|_| Instant::now()));
         let mut nodes = Vec::with_capacity(n);
-        let mut reply_txs: Vec<Sender<Msg<V>>> = Vec::with_capacity(n);
+        let mut done_txs = Vec::with_capacity(n);
         for i in 0..n {
+            let id = NodeId::new(i as u32);
             let (tx, rx) = unbounded();
-            reply_txs.push(tx);
-            let (state, wal) = match boots.remove(&NodeId::new(i as u32)) {
-                Some(boot) => (boot.state, Some(boot.sink)),
-                None => (CausalState::new(NodeId::new(i as u32), config.clone()), None),
+            done_txs.push(tx);
+            let (state, mut wal) = match boots.remove(&id) {
+                Some(boot) => (boot.state, Some(boot.journal)),
+                None => (CausalState::new(id, config.clone()), None),
             };
-            let shared = Arc::new(NodeShared {
-                state: RwLock::new(state),
-                op_lock: Mutex::new(()),
-                replies: rx,
-                nonblocking: Mutex::new(HashMap::new()),
-                nonblocking_count: AtomicUsize::new(0),
-                pipeline: Mutex::new(PipelineState {
-                    owner: None,
-                    in_flight: 0,
-                    batcher: Batcher::new(batch_policy),
-                }),
-                pipeline_cv: Condvar::new(),
-                wal,
-            });
-            if shared.wal.is_some() {
+            let mut driver = NodeDriver::new(state);
+            if let Some(wal) = &mut wal {
                 // Persist the boot watermark (`CausalState::new`'s
                 // baseline, or recovery's rejoin record with the bumped
                 // incarnation) before any traffic can reference it.
-                shared.mutate(|_| ());
+                wal(&driver.take_journal(), driver.state());
             }
-            nodes.push(shared);
+            nodes.push(Arc::new(NodeShared {
+                driver: RwLock::new(driver),
+                send_order: Mutex::new(()),
+                op_lock: Mutex::new(()),
+                done: rx,
+                wal: wal.map(Mutex::new),
+            }));
         }
 
-        let mut servers = Vec::with_capacity(local.len());
-        let stop = Arc::new(StopSignal::new());
-        // Shared transport clock for the failure detector (milliseconds
-        // since cluster start).
-        let clock_start = Instant::now();
-        let failover = config.failover();
+        let mut stops = Vec::new();
+        let mut latch = || {
+            let (tx, rx) = unbounded::<()>();
+            stops.push(tx);
+            rx
+        };
+        let mut servers = Vec::with_capacity(2 * local.len());
         let mut inline_server = None;
-        for &me in local {
-            let ctx = ServerCtx {
+        for &me in &local {
+            let ctx = Arc::new(ServerCtx {
                 me,
                 node: Arc::clone(&nodes[me.index()]),
                 net: net.clone(),
-                reply_tx: reply_txs[me.index()].clone(),
-                failover_on: failover.is_some(),
-                clock_start,
-            };
+                done_tx: done_txs[me.index()].clone(),
+                clock,
+            });
+            if let Some(fo) = failover {
+                let (ctx, stop) = (Arc::clone(&ctx), latch());
+                servers.push(
+                    std::thread::Builder::new()
+                        .name(format!("causal-ticker-{}", me.index()))
+                        .spawn(move || {
+                            let mut next = fo.heartbeat_interval.max(1);
+                            let wait = |next: u64| {
+                                Duration::from_millis(next.saturating_sub(clock.now()).max(1))
+                            };
+                            while let Err(RecvTimeoutError::Timeout) = stop.recv_timeout(wait(next))
+                            {
+                                next = ctx
+                                    .run(|d| d.tick(clock.now()))
+                                    .expect("failover drivers keep timers");
+                            }
+                        })
+                        .expect("spawning ticker thread"),
+                );
+            }
             if inline {
                 // The transport drives this node's server loop itself;
                 // its mailbox stays with the network, unread (only
                 // `Msg::Halt` is ever addressed to it, and inline
-                // shutdown runs through the stop signal instead).
-                inline_server = Some(InlineServer {
-                    ctx: Arc::new(ctx),
-                    stop: Arc::clone(&stop),
-                });
+                // shutdown runs through its stop latch instead).
+                inline_server = Some(InlineServer { ctx, stop: latch() });
                 continue;
             }
             let mailbox = net.take_mailbox(me);
@@ -853,90 +503,29 @@ impl<V: Value> CausalCluster<V> {
             );
         }
 
-        if let Some(fo) = failover {
-            for &me in local {
-                let i = me.index();
-                let node = Arc::clone(&nodes[i]);
-                let net = net.clone();
-                let stop = Arc::clone(&stop);
-                servers.push(
-                    std::thread::Builder::new()
-                        .name(format!("causal-heartbeat-{i}"))
-                        .spawn(move || {
-                            let interval = Duration::from_millis(fo.heartbeat_interval);
-                            // The condvar wait (vs a fixed sleep) is what
-                            // lets shutdown() interrupt a tick mid-wait.
-                            while !stop.wait_for(interval) {
-                                let now = clock_start.elapsed().as_millis() as u64;
-                                let (hb, hb_targets, broadcasts, repl) = node.mutate(|st| {
-                                    let hb = st.heartbeat_msg();
-                                    // All peers under all-pairs probing; the
-                                    // node's ring successors under a scoped
-                                    // heartbeat fanout.
-                                    let hb_targets = st.heartbeat_targets();
-                                    let newly = st.check_suspicions(now);
-                                    let mut broadcasts = Vec::new();
-                                    for suspect in newly {
-                                        let epochs = st.suspect(suspect);
-                                        if !epochs.is_empty() {
-                                            let targets = st.suspect_targets(suspect, &epochs);
-                                            broadcasts.push((suspect, epochs, targets));
-                                        }
-                                    }
-                                    (hb, hb_targets, broadcasts, st.take_replications())
-                                });
-                                let n = u32::try_from(net.len()).unwrap_or(0);
-                                let all_peers = || {
-                                    (0..n).map(NodeId::new).filter(|dst| *dst != me).collect()
-                                };
-                                if let Some(hb) = hb {
-                                    for dst in hb_targets {
-                                        let _ = net.send(me, dst, hb.clone());
-                                    }
-                                }
-                                for (suspect, epochs, targets) in broadcasts {
-                                    // `None` means broadcast (all-pairs mode).
-                                    for dst in targets.unwrap_or_else(all_peers) {
-                                        let _ = net.send(
-                                            me,
-                                            dst,
-                                            Msg::Suspect {
-                                                suspect,
-                                                epochs: epochs.clone(),
-                                            },
-                                        );
-                                    }
-                                }
-                                for (dst, msg) in repl {
-                                    let _ = net.send(me, dst, msg);
-                                }
-                            }
-                        })
-                        .expect("spawning heartbeat thread"),
-                );
-            }
-        }
-
         let cluster = CausalCluster {
             inner: Arc::new(ClusterInner {
                 config,
                 net,
                 nodes,
-                local: local.to_vec(),
-                recorder,
+                local,
+                recorder: self.recorder,
                 servers: Mutex::new(servers),
-                stop,
+                stops: Mutex::new(stops),
+                clock,
             }),
         };
         Ok((cluster, inline_server))
     }
+}
 
+impl<V: Value> CausalCluster<V> {
     /// A handle performing operations as process `node`.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range or not hosted by this process
-    /// (see [`CausalCluster::with_transport`]).
+    /// (see [`CausalClusterBuilder::transport`]).
     #[must_use]
     pub fn handle(&self, node: u32) -> CausalHandle<V> {
         assert!(
@@ -1002,27 +591,24 @@ impl<V: Value> CausalCluster<V> {
         self.inner.net.metadata()
     }
 
-    /// Number of node `i`'s non-blocking or pipelined writes whose replies
-    /// are still outstanding (diagnostic; inherently racy against the
-    /// server thread).
+    /// Number of node `i`'s pipelined writes whose replies are still
+    /// outstanding (diagnostic; inherently racy against the server loop).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn pending_nonblocking(&self, i: u32) -> usize {
-        self.inner.nodes[i as usize]
-            .nonblocking_count
-            .load(Ordering::Acquire)
+    pub fn pending_pipelined(&self, i: u32) -> usize {
+        self.inner.nodes[i as usize].driver.read().in_flight()
     }
 
     /// Installs (or removes) a fault hook on the cluster's network.
     ///
     /// With faults active the transport may drop protocol messages, so
-    /// operations can block forever unless
-    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) is also
-    /// configured. Intended for fault-tolerance experiments and tests; the
-    /// deterministic chaos suite lives in `dsm-faults`.
+    /// operations can block forever unless a
+    /// [`failover`](crate::CausalConfigBuilder::failover) configuration
+    /// bounds their retries. Intended for fault-tolerance experiments and
+    /// tests; the deterministic chaos suite lives in `dsm-faults`.
     pub fn set_fault_hook(&self, hook: Option<Arc<dyn simnet::FaultHook>>) {
         self.inner.net.set_fault_hook(hook);
     }
@@ -1034,20 +620,29 @@ impl<V: Value> CausalCluster<V> {
     ///
     /// Panics if `i` is out of range.
     #[must_use]
-    pub fn node_vt(&self, i: u32) -> vclock::VectorClock {
-        self.inner.nodes[i as usize].state.read().vt().clone()
+    pub fn node_vt(&self, i: u32) -> VectorClock {
+        self.inner.nodes[i as usize]
+            .driver
+            .read()
+            .state()
+            .vt()
+            .clone()
     }
 
     /// Node `i`'s incarnation number: 0 for a first life, the persisted
     /// maximum plus one after a durable recovery (see
-    /// [`CausalCluster::with_durable_transport`]).
+    /// [`CausalClusterBuilder::disks`]).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     #[must_use]
     pub fn node_incarnation(&self, i: u32) -> u32 {
-        self.inner.nodes[i as usize].state.read().incarnation()
+        self.inner.nodes[i as usize]
+            .driver
+            .read()
+            .state()
+            .incarnation()
     }
 
     /// Total cache invalidations performed across all nodes (ablation
@@ -1059,7 +654,7 @@ impl<V: Value> CausalCluster<V> {
 
     /// A coherent observability snapshot across the cluster: every node's
     /// vector timestamp, cumulative invalidation count, and cached-page
-    /// count, taking each node's (shared) state lock exactly once.
+    /// count, taking each node's (shared) lock exactly once.
     ///
     /// Prefer this over per-metric accessors in loops — a sweep over
     /// [`CausalCluster::node_vt`] and friends re-acquires every node's
@@ -1073,7 +668,8 @@ impl<V: Value> CausalCluster<V> {
             cached_pages: Vec::with_capacity(n),
         };
         for node in &self.inner.nodes {
-            let state = node.state.read();
+            let driver = node.driver.read();
+            let state = driver.state();
             snap.vts.push(state.vt().clone());
             snap.invalidations.push(state.invalidation_count());
             snap.cached_pages.push(state.cached_pages());
@@ -1081,18 +677,19 @@ impl<V: Value> CausalCluster<V> {
         snap
     }
 
-    /// Stops all server threads and waits for them to exit. Subsequent
-    /// operations on handles fail with [`MemoryError::Shutdown`].
+    /// Stops all server threads and tickers and waits for them to exit.
+    /// Subsequent remote operations on handles fail with
+    /// [`MemoryError::Shutdown`].
     ///
-    /// Returns promptly: heartbeat tickers are woken out of their interval
-    /// wait rather than finishing it (regression-tested in
+    /// Returns promptly: tickers are woken out of their interval wait
+    /// rather than finishing it (regression-tested in
     /// `tests/failover.rs`).
     pub fn shutdown(&self) {
-        // Raise the flag before looking at the thread roster: an
-        // inline-transport cluster has no server threads at all, and its
-        // transport checks this flag (through [`InlineServer::deliver`])
-        // to learn the engine is gone.
-        self.inner.stop.stop();
+        // Drop the stop latches before looking at the thread roster: an
+        // inline-transport cluster may have no threads at all, and its
+        // transport learns the engine is gone through its latch (in
+        // [`InlineServer::deliver`]).
+        self.inner.stops.lock().clear();
         let handles: Vec<_> = self.inner.servers.lock().drain(..).collect();
         if handles.is_empty() {
             return;
@@ -1171,133 +768,28 @@ impl<V: Value> CausalHandle<V> {
         Ok(())
     }
 
-    /// The current owner of `loc`'s page. Static (lock-free) without
-    /// failover; with failover the node's epoch table decides, under a
-    /// brief shared state lock.
-    fn owner_of(&self, loc: Location) -> NodeId {
-        let config = &self.inner.config;
-        let page = loc.page(config.page_size());
-        if config.failover().is_some() {
-            self.inner.nodes[self.node.index()]
-                .state
-                .read()
-                .current_owner(page)
-        } else {
-            config.owners().owner_of_page(page)
+    fn shared(&self) -> &NodeShared<V> {
+        &self.inner.nodes[self.node.index()]
+    }
+
+    /// Submits `op` to the node's driver and parks until it completes.
+    /// Caller holds the operation lock.
+    fn submit(&self, op: NodeOp<V>) -> Result<Done<V>, MemoryError> {
+        let node = self.shared();
+        let now = self.inner.clock.now();
+        let mut driver = node.driver.write();
+        let fx = driver.submit(now, op);
+        let (done, sent) = node.commit(driver, self.node, &self.inner.net, fx);
+        if !sent {
+            // A failed send means the network has shut down, which is
+            // terminal for the session: no reply will ever arrive.
+            node.driver.write().abandon();
+            return Err(MemoryError::Shutdown);
         }
-    }
-
-    /// Whether this handle's node currently owns `loc`'s page.
-    fn owns_locally(&self, loc: Location) -> bool {
-        self.owner_of(loc) == self.node
-    }
-
-    /// Best-effort fan-out of protocol side traffic (replication shadows,
-    /// suspicion broadcasts).
-    fn send_all(&self, msgs: Vec<(NodeId, Msg<V>)>) {
-        for (dst, msg) in msgs {
-            let _ = self.inner.net.send(self.node, dst, msg);
+        match done {
+            Some(done) => done,
+            None => node.done.recv().unwrap_or(Err(MemoryError::Shutdown)),
         }
-    }
-
-    /// Ships pending protocol side traffic: hot-standby shadows queued by
-    /// a locally-installed write (failover) and `[INTEREST]` drops queued
-    /// by cache eviction (interest scoping). A no-op — without touching
-    /// the state lock — unless one of those features is on.
-    fn drain_side_traffic(&self, node: &NodeShared<V>) {
-        let config = &self.inner.config;
-        if config.failover().is_none() && !config.interest_scoping() {
-            return;
-        }
-        let (repl, drops) = {
-            let mut st = node.state.write();
-            (st.take_replications(), st.take_interest_msgs())
-        };
-        self.send_all(repl);
-        self.send_all(drops);
-    }
-
-    /// Puts a buffered run on the wire as one envelope (a single message,
-    /// or [`Msg::Batch`] for runs of two or more). Rolls back the run's
-    /// window slots and registry entries if the transport is down. Caller
-    /// holds the pipeline lock.
-    fn send_run(
-        &self,
-        node: &NodeShared<V>,
-        p: &mut PipelineState<V>,
-        owner: NodeId,
-        run: Vec<Msg<V>>,
-    ) -> Result<(), MemoryError> {
-        send_run_locked(&self.inner.net, self.node, node, p, owner, run)
-    }
-
-    /// Sends whatever the batcher holds to the pipeline owner. A no-op
-    /// when nothing is buffered. Caller holds the pipeline lock.
-    fn flush_batcher(
-        &self,
-        node: &NodeShared<V>,
-        p: &mut PipelineState<V>,
-    ) -> Result<(), MemoryError> {
-        if p.batcher.is_empty() {
-            return Ok(());
-        }
-        let owner = p.owner.expect("buffered writes always have an owner");
-        let run = p.batcher.take();
-        self.send_run(node, p, owner, run)
-    }
-
-    /// Blocks on the pipeline condvar until the server thread signals
-    /// progress. With an [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout)
-    /// configured, each wait is bounded by the full retry budget
-    /// (`timeout × (1 + retries)`) and then fails with
-    /// [`MemoryError::Timeout`]; as with [`CausalHandle::await_reply`],
-    /// a timeout should be treated as fatal for the handle's session.
-    fn pipeline_wait<'a>(
-        &self,
-        node: &'a NodeShared<V>,
-        guard: MutexGuard<'a, PipelineState<V>>,
-    ) -> Result<MutexGuard<'a, PipelineState<V>>, MemoryError> {
-        let owner = guard.owner.unwrap_or(self.node);
-        match self.inner.config.owner_timeout() {
-            None => Ok(node
-                .pipeline_cv
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)),
-            Some(window) => {
-                let budget = window * (1 + self.inner.config.owner_retries());
-                let (guard, timeout) = node
-                    .pipeline_cv
-                    .wait_timeout(guard, budget)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                // Both waiters funnel through here: the window/drain loops
-                // (in_flight) and flush()'s raw non-blocking barrier
-                // (nonblocking_count) — a full budget with either still
-                // outstanding means the reply is not coming.
-                if timeout.timed_out()
-                    && (guard.in_flight > 0 || node.nonblocking_count.load(Ordering::Acquire) > 0)
-                {
-                    return Err(MemoryError::Timeout { owner });
-                }
-                Ok(guard)
-            }
-        }
-    }
-
-    /// Flushes the batcher and waits until every pipelined write's reply
-    /// has been absorbed (`in_flight == 0`). Caller holds the operation
-    /// lock; the pipeline guard travels by value because the condvar wait
-    /// needs ownership of it.
-    fn drain_pipeline_locked<'a>(
-        &self,
-        node: &'a NodeShared<V>,
-        mut guard: MutexGuard<'a, PipelineState<V>>,
-    ) -> Result<MutexGuard<'a, PipelineState<V>>, MemoryError> {
-        self.flush_batcher(node, &mut guard)?;
-        while guard.in_flight > 0 {
-            guard = self.pipeline_wait(node, guard)?;
-        }
-        guard.owner = None;
-        Ok(guard)
     }
 
     /// Records an operation, building the record only if a recorder is
@@ -1309,363 +801,67 @@ impl<V: Value> CausalHandle<V> {
         }
     }
 
-    /// `true` iff `reply` answers the outstanding round-trip described by
-    /// `expect` — anything else in the channel is a stale leftover from a
-    /// previously timed-out operation and must be discarded, not
-    /// misattributed.
-    fn reply_matches(reply: &Msg<V>, expect: &Expected) -> bool {
-        match (expect.op, reply) {
-            (Some(op), Msg::Stamped { op: rop, inner, .. }) => {
-                op == *rop && Self::content_matches(inner, expect.want)
-            }
-            // A NACK echoing our op id is a valid (negative) answer.
-            (Some(op), Msg::Nack { op: rop, .. }) => op == *rop,
-            (None, reply) => Self::content_matches(reply, expect.want),
-            _ => false,
-        }
-    }
-
-    fn content_matches(reply: &Msg<V>, want: Want) -> bool {
-        match (reply, want) {
-            (Msg::ReadReply { page, .. }, Want::Read { page: wanted }) => *page == wanted,
-            (Msg::WriteReply { wid, .. }, Want::Write { wid: wanted }) => *wid == wanted,
-            _ => false,
-        }
-    }
-
-    /// Waits for the reply to the outstanding owner round-trip,
-    /// discarding any non-matching (stale) reply along the way — the
-    /// recovery guarantee that makes [`MemoryError::Timeout`] survivable:
-    /// a late reply to a timed-out operation can never be misattributed
-    /// to the next one.
-    ///
-    /// Without an [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout)
-    /// this blocks forever (the paper's reliable-network model) unless
-    /// failover is on, in which case one suspicion budget
-    /// (`heartbeat_interval × suspicion_threshold`, in ms) bounds each
-    /// attempt. With an `owner_timeout` and no failover the full retry
-    /// budget (`timeout × (1 + retries)`) applies; under failover each
-    /// attempt gets a single window (retries are driven a level up by
-    /// [`CausalHandle::failover_round_trip`]).
-    fn await_reply(
-        &self,
-        node: &NodeShared<V>,
-        owner: NodeId,
-        expect: &Expected,
-    ) -> Result<Msg<V>, MemoryError> {
-        let window = match (
-            self.inner.config.owner_timeout(),
-            self.inner.config.failover(),
-        ) {
-            (Some(w), Some(_)) => Some(w),
-            (Some(w), None) => Some(w * (1 + self.inner.config.owner_retries())),
-            (None, Some(fo)) => Some(Duration::from_millis(
-                fo.heartbeat_interval * u64::from(fo.suspicion_threshold),
-            )),
-            (None, None) => None,
-        };
-        let deadline = window.map(|w| Instant::now() + w);
-        loop {
-            let reply = match deadline {
-                None => node.replies.recv().map_err(|_| MemoryError::Shutdown)?,
-                Some(d) => {
-                    let remaining = d.saturating_duration_since(Instant::now());
-                    match node.replies.recv_timeout(remaining) {
-                        Ok(reply) => reply,
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                            return Err(MemoryError::Timeout { owner })
-                        }
-                        Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                            return Err(MemoryError::Shutdown)
-                        }
-                    }
-                }
-            };
-            if Self::reply_matches(&reply, expect) {
-                return Ok(match reply {
-                    Msg::Stamped { inner, .. } => *inner,
-                    other => other,
-                });
-            }
-            // Stale: drop silently and keep waiting for the real reply.
-        }
-    }
-
-    /// One logical owner round-trip under failover: stamp the request
-    /// with the node's current `(epoch, op)`, send, await. A NACK adopts
-    /// the responder's newer epoch and redirects the retry; a timeout
-    /// counts as suspicion evidence — the silent owner's pages migrate to
-    /// their successors (promoting this node where it is one) and the
-    /// decision is broadcast. Retries back off exponentially with
-    /// deterministic jitter until the reply arrives or
-    /// [`FailoverConfig::max_retries`] is spent.
-    fn failover_round_trip(
-        &self,
-        node: &NodeShared<V>,
-        fo: &FailoverConfig,
-        page: PageId,
-        request: &Msg<V>,
-        want: Want,
-    ) -> Result<Msg<V>, MemoryError> {
-        let mut last_owner = self.node;
-        for attempt in 0..=fo.max_retries {
-            if attempt > 0 {
-                let salt = (u64::from(self.node.index() as u32) << 32) | u64::from(attempt);
-                std::thread::sleep(Duration::from_millis(fo.backoff(attempt - 1, salt)));
-            }
-            let (owner, epoch, op) = {
-                let mut st = node.state.write();
-                (st.current_owner(page), st.epoch_of(page), st.next_op_id())
-            };
-            last_owner = owner;
-            if owner == self.node {
-                // The page migrated to *us* mid-operation (we are its
-                // successor): serve our own request locally.
-                let (served, repl) = node.mutate(|st| {
-                    let served = st.serve_stamped(self.node, epoch, op, request.clone());
-                    (served, st.take_replications())
-                });
-                self.send_all(repl);
-                match served {
-                    Some(Msg::Stamped { inner, .. }) => return Ok(*inner),
-                    // Raced with a further migration: re-resolve and retry.
-                    _ => continue,
-                }
-            }
-            let env = Msg::Stamped {
-                epoch,
-                op,
-                inner: Box::new(request.clone()),
-            };
-            if self.inner.net.send(self.node, owner, env).is_err() {
-                return Err(MemoryError::Shutdown);
-            }
-            let expect = Expected { op: Some(op), want };
-            match self.await_reply(node, owner, &expect) {
-                Ok(Msg::Nack {
-                    page: npage, epoch, ..
-                }) => {
-                    node.mutate(|st| st.observe_epoch(npage, epoch));
-                }
-                Ok(reply) => return Ok(reply),
-                Err(MemoryError::Timeout { .. }) => {
-                    let (epochs, targets, repl) = node.mutate(|st| {
-                        let epochs = st.suspect(owner);
-                        let targets = st.suspect_targets(owner, &epochs);
-                        (epochs, targets, st.take_replications())
-                    });
-                    if !epochs.is_empty() {
-                        let dsts = targets.unwrap_or_else(|| {
-                            (0..self.inner.config.nodes())
-                                .map(NodeId::new)
-                                .filter(|dst| *dst != self.node)
-                                .collect()
-                        });
-                        for dst in dsts {
-                            let _ = self.inner.net.send(
-                                self.node,
-                                dst,
-                                Msg::Suspect {
-                                    suspect: owner,
-                                    epochs: epochs.clone(),
-                                },
-                            );
-                        }
-                    }
-                    self.send_all(repl);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(MemoryError::Timeout { owner: last_owner })
-    }
-
     /// Performs a write and reports whether it survived concurrent-write
     /// resolution (always applied under [`crate::WritePolicy::LastArrival`];
     /// may be rejected under [`crate::WritePolicy::OwnerFavored`], §4.2).
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped, or
-    /// [`MemoryError::OutOfRange`] for locations outside the namespace.
+    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped,
+    /// [`MemoryError::OutOfRange`] for locations outside the namespace, or
+    /// [`MemoryError::Timeout`] once a
+    /// [`failover`](crate::CausalConfigBuilder::failover) retry budget is
+    /// spent.
     pub fn write_resolved(&self, loc: Location, value: V) -> Result<WriteDone, MemoryError> {
         self.check_bounds(loc)?;
-        let node = &self.inner.nodes[self.node.index()];
+        let node = self.shared();
         // One Arc wraps the value; the protocol moves pointers from here
         // on (install, request, reply repair) — no deep copies.
         let value = Arc::new(value);
-        // Fast path: an owner-local write is one atomic Figure-4 step
-        // under the state lock — no message, no outstanding reply — so the
-        // per-node operation lock adds nothing. Ownership is static, so
-        // this is decidable before touching any lock. Skipped when a
-        // recorder is installed (the recorder flattens a node's handles
-        // into one program order, which only the operation lock provides)
-        // and while the write pipeline is active (a local write must not
-        // stamp its page with in-flight increments; see below). The
-        // idleness check must hold *across* the state mutation:
-        // `write_pipelined` ticks `VT_i` with the pipeline lock held, so
-        // the fast path keeps that lock from the `in_flight` check through
-        // `begin_write_shared` — releasing it in between would let a
-        // concurrent pipelined write (which skips `op_lock` contention by
-        // running on another handle) slip an uncertified increment into
-        // the stamp this write later exports via R_REPLY.
-        if self.inner.recorder.is_none() && self.owns_locally(loc) {
-            let pipeline = (self.inner.config.pipeline_window() > 0).then(|| node.pipeline.lock());
-            if pipeline.as_ref().is_none_or(|p| p.in_flight == 0) {
-                // `value` moves here; fine, because both arms below
-                // diverge — the non-idle fall-through never reaches this.
-                let step = node.mutate(|st| st.begin_write_shared(loc, value));
-                drop(pipeline);
-                match step {
-                    WriteStep::Done { wid } => {
-                        self.drain_side_traffic(node);
-                        return Ok(WriteDone::Applied { wid });
-                    }
-                    WriteStep::Remote { .. } => {
-                        unreachable!("owner-local write cannot go remote")
-                    }
+        // Fast path: an owner-local write on an idle pipeline is one
+        // atomic step with no message and no outstanding reply, so the
+        // operation lock adds nothing. Skipped when a recorder is
+        // installed: recording flattens a node's handles into one program
+        // order, which only the operation lock provides.
+        if self.inner.recorder.is_none() && node.driver.read().state().owns(loc) {
+            let mut driver = node.driver.write();
+            if let Some(fx) = driver.write_local(loc, Arc::clone(&value)) {
+                if let (Some(Ok(Done::Wrote(done))), _) =
+                    node.commit(driver, self.node, &self.inner.net, fx)
+                {
+                    return Ok(done);
                 }
+                unreachable!("a local write completes at once");
             }
-            // Pipeline non-idle: fall through to the slow path, which
-            // drains under the operation lock.
         }
         let _op = node.op_lock.lock();
-        if self.inner.config.pipeline_window() > 0 {
-            let mut p = node.pipeline.lock();
-            if p.in_flight > 0 {
-                if self.owns_locally(loc) || p.owner != Some(self.owner_of(loc)) {
-                    // An owner-local write would embed the in-flight
-                    // increments in the page stamp it later exports via
-                    // R_REPLY, and a write to a *different* owner would
-                    // carry them in its VT — either way a third party
-                    // could observe our pipelined writes before the owner
-                    // has installed them. Drain first.
-                    drop(self.drain_pipeline_locked(node, p)?);
-                } else {
-                    // Same owner: per-link FIFO already orders this write
-                    // after the pipelined ones; just make sure nothing
-                    // buffered overtakes it.
-                    self.flush_batcher(node, &mut p)?;
-                }
-            }
-        }
-        let step = node.mutate(|st| st.begin_write_shared(loc, Arc::clone(&value)));
-        let done = match step {
-            WriteStep::Done { wid } => {
-                self.drain_side_traffic(node);
-                WriteDone::Applied { wid }
-            }
-            WriteStep::Remote {
-                owner,
-                wid,
-                request,
-            } => {
-                let want = Want::Write { wid };
-                let reply = match self.inner.config.failover() {
-                    Some(fo) => {
-                        let page = loc.page(self.inner.config.page_size());
-                        self.failover_round_trip(node, &fo, page, &request, want)?
-                    }
-                    None => {
-                        self.inner
-                            .net
-                            .send(self.node, owner, request)
-                            .map_err(|_| MemoryError::Shutdown)?;
-                        self.await_reply(node, owner, &Expected { op: None, want })?
-                    }
-                };
-                let done = node
-                    .state
-                    .write()
-                    .finish_write(Arc::clone(&value), wid, reply);
-                self.drain_side_traffic(node);
-                done
-            }
+        let Done::Wrote(done) = self.submit(NodeOp::Write(loc, Arc::clone(&value)))? else {
+            unreachable!("a write completes as a write")
         };
         self.record_with(|| OpRecord::write(loc, (*value).clone(), done.wid()));
         Ok(done)
     }
 
-    /// Performs a **non-blocking** write: the paper's "reducing the
-    /// blocking of processors" enhancement. Owner-local writes complete
-    /// immediately as usual; remote writes return as soon as the request
-    /// is sent, with the value optimistically visible to this node's own
-    /// subsequent reads. The owner's reply is absorbed in the background.
-    ///
-    /// **Correctness boundary**: full Definition-2 causal correctness is
-    /// forfeited — a third party that causally learns of the in-flight
-    /// write can be served the pre-write value by the owner (exhaustive
-    /// witness in `tests/nonblocking_limits.rs`). Use only where the
-    /// written location is not read through faster causal channels;
-    /// blocking [`SharedMemory::write`] is the paper's protocol.
-    ///
-    /// Under [`crate::WritePolicy::OwnerFavored`] a rejection is repaired
-    /// in the cache asynchronously; callers needing the verdict must use
-    /// [`CausalHandle::write_resolved`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped, or
-    /// [`MemoryError::OutOfRange`] for locations outside the namespace.
-    pub fn write_nonblocking(
-        &self,
-        loc: Location,
-        value: V,
-    ) -> Result<memcore::WriteId, MemoryError> {
-        self.check_bounds(loc)?;
-        if self.inner.config.failover().is_some() {
-            // Raw non-blocking writes carry no epoch stamp; under
-            // failover they go through the protected blocking path.
-            return self.write_resolved(loc, value).map(|done| done.wid());
-        }
-        let node = &self.inner.nodes[self.node.index()];
-        let value = Arc::new(value);
-        let _op = node.op_lock.lock();
-        let step = node.mutate(|st| st.begin_write_nonblocking_shared(loc, Arc::clone(&value)));
-        let wid = match step {
-            WriteStep::Done { wid } => wid,
-            WriteStep::Remote {
-                owner,
-                wid,
-                request,
-            } => {
-                // Register before sending so the server thread always
-                // recognizes the reply; the channel send/recv below this
-                // in the causal chain is what publishes the counter.
-                node.nonblocking.lock().insert(wid, false);
-                node.nonblocking_count.fetch_add(1, Ordering::Release);
-                if self.inner.net.send(self.node, owner, request).is_err() {
-                    if node.nonblocking.lock().remove(&wid).is_some() {
-                        node.nonblocking_count.fetch_sub(1, Ordering::Release);
-                    }
-                    return Err(MemoryError::Shutdown);
-                }
-                wid
-            }
-        };
-        self.drain_side_traffic(node);
-        self.record_with(|| OpRecord::write(loc, (*value).clone(), wid));
-        Ok(wid)
-    }
-
     /// Performs a write through the **bounded write pipeline**: up to
     /// [`pipeline_window`](crate::CausalConfigBuilder::pipeline_window)
     /// writes to the same owner may be in flight at once, the window
-    /// exerting backpressure when full. Unlike the raw
-    /// [`CausalHandle::write_nonblocking`], pipelined writes preserve
+    /// exerting backpressure when full. Pipelined writes preserve
     /// Definition-2 causal correctness: the pipeline drains automatically
     /// before any operation that could export or observe the in-flight
     /// increments — an owner-local write, a remote write to a *different*
     /// owner, or a read miss on a page the pipeline's owner serves (the
     /// read-your-own-write case). Operations proven safe to overlap —
     /// further pipelined writes to the same owner, cache-hit reads, and
-    /// read misses toward other owners — proceed without waiting.
+    /// read misses toward other owners — proceed without waiting. Under
+    /// failover each pipelined write travels stamped and is retried on
+    /// its own.
     ///
     /// With a window of `0` this is exactly the blocking protocol write.
     /// With [`batching`](crate::CausalConfigBuilder::batching) enabled,
-    /// consecutive pipelined writes coalesce into [`Msg::Batch`]
-    /// envelopes, the owner sweeps its cache once per batch, and the
-    /// write acks ride back in a single reply envelope.
+    /// the first write of a burst ships at once and the writes issued
+    /// during its round trip coalesce into one [`Msg::Batch`] envelope
+    /// when the wire drains; the owner sweeps its cache once per batch,
+    /// and the write acks ride back in a single reply envelope.
     ///
     /// Call [`CausalHandle::flush`] to wait for all in-flight writes.
     ///
@@ -1673,111 +869,29 @@ impl<V: Value> CausalHandle<V> {
     ///
     /// Returns [`MemoryError::Shutdown`] if the cluster has stopped,
     /// [`MemoryError::OutOfRange`] for locations outside the namespace,
-    /// or [`MemoryError::Timeout`] if a configured
-    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) budget
-    /// expires while waiting for window space.
-    pub fn write_pipelined(
-        &self,
-        loc: Location,
-        value: V,
-    ) -> Result<memcore::WriteId, MemoryError> {
+    /// or [`MemoryError::Timeout`] once a failover retry budget is spent.
+    pub fn write_pipelined(&self, loc: Location, value: V) -> Result<WriteId, MemoryError> {
         self.check_bounds(loc)?;
-        let window = self.inner.config.pipeline_window() as usize;
-        if window == 0 || self.owns_locally(loc) || self.inner.config.failover().is_some() {
-            // Window 0 is the paper's blocking protocol; owner-local
-            // writes are message-free and must drain the pipeline anyway,
-            // which write_resolved's own hook does. Under failover the
-            // threaded engine degrades pipelined writes to blocking ones —
-            // only the blocking round-trip carries the epoch stamp and
-            // retry machinery (the deterministic simulator supports the
-            // combination; see `dsm-sim`).
-            return self.write_resolved(loc, value).map(|done| done.wid());
-        }
-        let node = &self.inner.nodes[self.node.index()];
         let value = Arc::new(value);
-        let owner = self.owner_of(loc);
-        let _op = node.op_lock.lock();
-        let mut p = node.pipeline.lock();
-        loop {
-            if p.in_flight == 0 {
-                break;
-            }
-            if p.owner != Some(owner) {
-                // Owner switch: this write's VT would carry the old
-                // owner's in-flight increments, so the old window must
-                // drain completely first.
-                p = self.drain_pipeline_locked(node, p)?;
-                break;
-            }
-            if p.in_flight < window {
-                break;
-            }
-            // Window full: put any buffered run on the wire (its replies
-            // are what free the window) and wait for the server thread.
-            self.flush_batcher(node, &mut p)?;
-            p = self.pipeline_wait(node, p)?;
-        }
-        let step = node.mutate(|st| st.begin_write_nonblocking_shared(loc, Arc::clone(&value)));
-        let wid = match step {
-            WriteStep::Done { .. } => unreachable!("remote page cannot complete locally"),
-            WriteStep::Remote { wid, request, .. } => {
-                node.nonblocking.lock().insert(wid, true);
-                node.nonblocking_count.fetch_add(1, Ordering::Release);
-                p.owner = Some(owner);
-                p.in_flight += 1;
-                if self.inner.config.batching() {
-                    if let Some(run) = p.batcher.push(request) {
-                        self.send_run(node, &mut p, owner, run)?;
-                    } else if p.in_flight == p.batcher.len() {
-                        // Nothing on the wire: buffering now would idle
-                        // the owner for no gain, so ship immediately.
-                        // Writes issued during this run's round trip
-                        // accumulate in the batcher and go out as one
-                        // envelope when the wire drains (see the absorb
-                        // path) — batching adapts to the round-trip time
-                        // instead of imposing a fixed-size wait.
-                        let run = p.batcher.take();
-                        self.send_run(node, &mut p, owner, run)?;
-                    }
-                } else {
-                    self.send_run(node, &mut p, owner, vec![request])?;
-                }
-                wid
-            }
+        let _op = self.shared().op_lock.lock();
+        let Done::Wrote(done) = self.submit(NodeOp::WritePipelined(loc, Arc::clone(&value)))?
+        else {
+            unreachable!("a write completes as a write")
         };
-        drop(p);
-        self.drain_side_traffic(node);
-        self.record_with(|| OpRecord::write(loc, (*value).clone(), wid));
-        Ok(wid)
+        self.record_with(|| OpRecord::write(loc, (*value).clone(), done.wid()));
+        Ok(done.wid())
     }
 
     /// Write barrier: sends anything still buffered and blocks until the
-    /// reply to every outstanding asynchronous write — pipelined *and*
-    /// raw [`CausalHandle::write_nonblocking`] — has been received and
-    /// absorbed into `VT_i`. Works whether or not pipelining is enabled
-    /// (raw non-blocking writes need no window); a no-op when nothing is
-    /// outstanding.
+    /// reply to every pipelined write has been received and absorbed
+    /// into `VT_i`. A no-op when nothing is outstanding.
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped, or
-    /// [`MemoryError::Timeout`] if a configured
-    /// [`owner_timeout`](crate::CausalConfigBuilder::owner_timeout) budget
-    /// expires first (fatal for the handle's session, as with any other
-    /// timed-out operation).
+    /// Returns [`MemoryError::Shutdown`] if the cluster stops first.
     pub fn flush(&self) -> Result<(), MemoryError> {
-        let node = &self.inner.nodes[self.node.index()];
-        let _op = node.op_lock.lock();
-        let p = node.pipeline.lock();
-        let mut p = self.drain_pipeline_locked(node, p)?;
-        // Raw non-blocking writes live in the registry but not the
-        // window; the server's pipeline-lock touch before notifying (see
-        // the absorb path) makes this wait lost-wakeup-free.
-        while node.nonblocking_count.load(Ordering::Acquire) > 0 {
-            p = self.pipeline_wait(node, p)?;
-        }
-        drop(p);
-        Ok(())
+        let _op = self.shared().op_lock.lock();
+        self.submit(NodeOp::Flush).map(drop)
     }
 
     /// A read that returns the value **shared** with local memory
@@ -1785,7 +899,7 @@ impl<V: Value> CausalHandle<V> {
     /// plus one clone to meet its by-value signature.
     ///
     /// Cache hits are the protocol's steady state and take only the
-    /// node's shared state lock — concurrent readers of a node proceed in
+    /// node's shared lock — concurrent readers of a node proceed in
     /// parallel, and no hit ever contends with the `op_lock` of a blocked
     /// remote operation. (With a recorder installed, hits take the
     /// `op_lock` too: recording flattens a node's threads into a single
@@ -1793,68 +907,31 @@ impl<V: Value> CausalHandle<V> {
     ///
     /// # Errors
     ///
-    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped, or
-    /// [`MemoryError::OutOfRange`] for locations outside the namespace.
+    /// Returns [`MemoryError::Shutdown`] if the cluster has stopped,
+    /// [`MemoryError::OutOfRange`] for locations outside the namespace, or
+    /// [`MemoryError::Timeout`] once a failover retry budget is spent.
     pub fn read_shared(&self, loc: Location) -> Result<Arc<V>, MemoryError> {
         self.read_full(loc).map(|(value, _)| value)
     }
 
-    fn read_full(&self, loc: Location) -> Result<(Arc<V>, memcore::WriteId), MemoryError> {
+    fn read_full(&self, loc: Location) -> Result<(Arc<V>, WriteId), MemoryError> {
         self.check_bounds(loc)?;
-        let node = &self.inner.nodes[self.node.index()];
         if self.inner.recorder.is_none() {
-            if let Some(hit) = node.state.read().read_hit(loc) {
+            if let Some(hit) = self.shared().driver.read().state().read_hit(loc) {
                 return Ok(hit);
             }
         }
-        let _op = node.op_lock.lock();
-        // Read-your-own-write guard: a miss on a page served by the
-        // pipeline's owner could fetch a copy predating our in-flight
-        // writes, or send a READ that overtakes WRITEs still buffered in
-        // the batcher (program-order violation either way). The decision
-        // must be atomic with the miss itself — checking validity *before*
-        // `begin_read` leaves a window in which the server thread (serving
-        // another node's WRITE, or absorbing a reply under
-        // WriterInvalidate) invalidates the copy — so classify first, and
-        // on a miss toward the pipeline's owner drain under the pipeline
-        // lock and re-run the read (absorbed replies may have repaired the
-        // copy into a hit). `in_flight` cannot grow back while we hold the
-        // operation lock, so the loop runs at most twice. Misses toward
-        // *other* owners overlap safely: the READ carries no timestamp,
-        // and any copy stamped with our increments must postdate the owner
-        // installing our write.
-        let step = loop {
-            let step = node.state.write().begin_read(loc);
-            if self.inner.config.pipeline_window() > 0 {
-                if let ReadStep::Miss { owner, .. } = &step {
-                    let p = node.pipeline.lock();
-                    if p.in_flight > 0 && p.owner == Some(*owner) {
-                        drop(self.drain_pipeline_locked(node, p)?);
-                        continue;
-                    }
-                }
-            }
-            break step;
+        self.read_op(NodeOp::Read(loc))
+    }
+
+    /// Runs a read through the driver under the operation lock.
+    fn read_op(&self, op: NodeOp<V>) -> Result<(Arc<V>, WriteId), MemoryError> {
+        let (NodeOp::Read(loc) | NodeOp::ReadFresh(loc)) = op else {
+            unreachable!("only reads come here")
         };
-        let (value, wid) = match step {
-            ReadStep::Hit { value, wid } => (value, wid),
-            ReadStep::Miss { owner, request } => {
-                let page = loc.page(self.inner.config.page_size());
-                let want = Want::Read { page };
-                let reply = match self.inner.config.failover() {
-                    Some(fo) => self.failover_round_trip(node, &fo, page, &request, want)?,
-                    None => {
-                        self.inner
-                            .net
-                            .send(self.node, owner, request)
-                            .map_err(|_| MemoryError::Shutdown)?;
-                        self.await_reply(node, owner, &Expected { op: None, want })?
-                    }
-                };
-                let hit = node.state.write().finish_read(loc, reply);
-                self.drain_side_traffic(node);
-                hit
-            }
+        let _op = self.shared().op_lock.lock();
+        let Done::Read { value, wid } = self.submit(op)? else {
+            unreachable!("a read completes as a read")
         };
         self.record_with(|| OpRecord::read(loc, (*value).clone(), wid));
         Ok((value, wid))
@@ -1878,22 +955,25 @@ impl<V: Value> SharedMemory<V> for CausalHandle<V> {
         if loc.index() >= self.inner.config.locations() as usize {
             return;
         }
-        let node = &self.inner.nodes[self.node.index()];
-        let _op = node.op_lock.lock();
-        node.state.write().discard(loc);
-        self.drain_side_traffic(node);
+        let _op = self.shared().op_lock.lock();
+        let _ = self.submit(NodeOp::Discard(loc));
     }
 
-    fn read_tagged(&self, loc: Location) -> Result<(V, Option<memcore::WriteId>), MemoryError> {
+    /// One driver operation, so the discard happens after any pipeline
+    /// drain the read needs (a drain's absorbed replies could repair the
+    /// discarded copy).
+    fn read_fresh(&self, loc: Location) -> Result<V, MemoryError> {
+        self.check_bounds(loc)?;
+        self.read_op(NodeOp::ReadFresh(loc))
+            .map(|(value, _)| (*value).clone())
+    }
+
+    fn read_tagged(&self, loc: Location) -> Result<(V, Option<WriteId>), MemoryError> {
         self.read_full(loc)
             .map(|(value, wid)| ((*value).clone(), Some(wid)))
     }
 
-    fn write_tagged(
-        &self,
-        loc: Location,
-        value: V,
-    ) -> Result<Option<memcore::WriteId>, MemoryError> {
+    fn write_tagged(&self, loc: Location, value: V) -> Result<Option<WriteId>, MemoryError> {
         self.write_resolved(loc, value).map(|done| Some(done.wid()))
     }
 }

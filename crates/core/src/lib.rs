@@ -24,8 +24,13 @@
 //! * [`CausalState`] — the protocol as a pure state machine (no I/O), so
 //!   the same code runs under the threaded engine and the deterministic
 //!   simulator (`dsm-sim`).
-//! * [`CausalCluster`] / [`CausalHandle`] — the threaded engine;
-//!   handles implement [`memcore::SharedMemory`].
+//! * [`NodeDriver`] — everything around one node's state machine (the
+//!   outstanding operation, the write pipeline and batching, failover
+//!   retries and heartbeats, the journal), sans I/O: the simulator's
+//!   actor and every engine host run this one copy.
+//! * [`CausalCluster`] / [`CausalHandle`] — the threaded engine, a shell
+//!   around one driver per node; handles implement
+//!   [`memcore::SharedMemory`].
 //! * [`CausalConfig`] — page size, invalidation mode, concurrent-write
 //!   policy (§4.2 owner-favored), cache capacity, constant segments.
 //! * [`Msg`] — the four protocol messages of Figure 4.
@@ -55,6 +60,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod driver;
 mod engine;
 mod failover;
 mod fxmap;
@@ -64,6 +70,7 @@ mod state;
 pub use config::{
     CausalConfig, CausalConfigBuilder, FailoverConfig, InvalidationMode, WritePolicy,
 };
+pub use driver::{Done, Effects, NodeDriver, NodeOp};
 pub use engine::{
     CausalCluster, CausalClusterBuilder, CausalHandle, ClusterSnapshot, InlineServer,
 };

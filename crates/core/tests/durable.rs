@@ -4,9 +4,8 @@
 //! the first life must be readable in the second, and every node must
 //! come back under a bumped incarnation.
 
-use causal_dsm::{CausalCluster, CausalConfig, Disk, DurableConfig, MemDisk, SyncPolicy};
+use causal_dsm::{CausalCluster, Disk, DurableConfig, MemDisk, SyncPolicy};
 use memcore::{Location, NodeId, SharedMemory, Word};
-use simnet::Network;
 
 fn loc(i: u32) -> Location {
     Location::new(i)
@@ -17,17 +16,15 @@ fn loc(i: u32) -> Location {
 /// same slice *is* a restart from disk.
 fn durable_cluster(disks: &[MemDisk], config: DurableConfig) -> CausalCluster<Word> {
     let n = disks.len() as u32;
-    let config = CausalConfig::<Word>::builder(n, 2 * n)
-        .durability(config)
-        .build();
-    let net = Network::new(disks.len());
-    let local: Vec<NodeId> = (0..n).map(NodeId::new).collect();
     let boxed = disks
         .iter()
         .enumerate()
         .map(|(i, d)| (NodeId::new(i as u32), Box::new(d.clone()) as Box<dyn Disk>))
         .collect();
-    CausalCluster::with_durable_transport(config, None, net, &local, boxed)
+    CausalCluster::builder(n, 2 * n)
+        .configure(|c| c.durability(config))
+        .disks(boxed)
+        .build()
         .expect("engine rejected configuration")
 }
 

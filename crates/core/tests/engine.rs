@@ -1,5 +1,5 @@
 //! Threaded-engine integration tests for the causal DSM, including the
-//! non-blocking-write enhancement, page granularity, write policies and
+//! pipelined-write enhancement, page granularity, write policies and
 //! multi-threaded stress checked against the executable specification.
 
 use causal_dsm::{CausalCluster, InvalidationMode, WritePolicy};
@@ -43,11 +43,14 @@ fn out_of_range_locations_error() {
 }
 
 #[test]
-fn nonblocking_write_reads_its_own_value_immediately() {
-    let cluster = CausalCluster::<Word>::builder(2, 2).build().unwrap();
+fn pipelined_write_reads_its_own_value_immediately() {
+    let cluster = CausalCluster::<Word>::builder(2, 2)
+        .configure(|c| c.pipeline_window(8))
+        .build()
+        .unwrap();
     let p1 = cluster.handle(1);
-    // x0 is owned by P0: this is a remote, non-blocking write.
-    let wid = p1.write_nonblocking(loc(0), Word::Int(5)).unwrap();
+    // x0 is owned by P0: this is a remote, pipelined write.
+    let wid = p1.write_pipelined(loc(0), Word::Int(5)).unwrap();
     assert_eq!(wid.writer(), Some(NodeId::new(1)));
     // Program order: our own read sees the optimistic value at once.
     assert_eq!(p1.read(loc(0)).unwrap(), Word::Int(5));
@@ -64,11 +67,14 @@ fn nonblocking_write_reads_its_own_value_immediately() {
 }
 
 #[test]
-fn nonblocking_writes_preserve_per_owner_order() {
-    let cluster = CausalCluster::<Word>::builder(2, 2).build().unwrap();
+fn pipelined_writes_preserve_per_owner_order() {
+    let cluster = CausalCluster::<Word>::builder(2, 2)
+        .configure(|c| c.pipeline_window(8))
+        .build()
+        .unwrap();
     let p1 = cluster.handle(1);
     for v in 1..=100i64 {
-        p1.write_nonblocking(loc(0), Word::Int(v)).unwrap();
+        p1.write_pipelined(loc(0), Word::Int(v)).unwrap();
     }
     // FIFO to the owner: the last write wins there.
     let p0 = cluster.handle(0);
@@ -270,12 +276,12 @@ fn handles_are_clone_and_debug() {
 
 #[test]
 fn owner_timeout_fails_instead_of_hanging_on_a_lossy_network() {
+    use causal_dsm::FailoverConfig;
     use simnet::{FaultHook, SendFate};
     use std::sync::Arc;
-    use std::time::Duration;
 
     // Drop every READ request: the owner never hears the question, so the
-    // reply never comes and only the timeout can unblock the reader.
+    // reply never comes and only the retry budget can unblock the reader.
     struct DropReads;
     impl FaultHook for DropReads {
         fn on_send(&self, _s: NodeId, _d: NodeId, kind: &'static str, _now: u64) -> SendFate {
@@ -287,8 +293,15 @@ fn owner_timeout_fails_instead_of_hanging_on_a_lossy_network() {
         }
     }
 
+    // No retries: the first attempt's window running out is the budget.
+    // P0 keeps heartbeating, so it is never suspected and the page stays
+    // put.
+    let retries_run_out = FailoverConfig {
+        max_retries: 0,
+        ..FailoverConfig::default()
+    };
     let cluster = CausalCluster::<Word>::builder(2, 2)
-        .configure(|c| c.owner_timeout(Duration::from_millis(20)).owner_retries(2))
+        .configure(|c| c.failover(retries_run_out))
         .build()
         .unwrap();
     cluster.set_fault_hook(Some(Arc::new(DropReads)));
@@ -305,4 +318,8 @@ fn owner_timeout_fails_instead_of_hanging_on_a_lossy_network() {
     let p0 = cluster.handle(0);
     p0.write(loc(0), Word::Int(7)).unwrap();
     assert_eq!(p0.read(loc(0)).unwrap(), Word::Int(7));
+    // And the handle that timed out works again once reads get through.
+    cluster.set_fault_hook(None);
+    assert_eq!(p1.read_fresh(loc(0)).unwrap(), Word::Int(7));
+    cluster.shutdown();
 }

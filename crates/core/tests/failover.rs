@@ -456,13 +456,23 @@ impl FaultHook for DeadNode {
     }
 }
 
+/// A retry policy that runs out at the first expired attempt. The
+/// owner stays alive and heartbeating, so it is never suspected: the
+/// timeout surfaces to the caller instead of migrating the page.
+fn retries_run_out() -> FailoverConfig {
+    FailoverConfig {
+        max_retries: 0,
+        ..FailoverConfig::default()
+    }
+}
+
 #[test]
-fn timeout_is_recoverable_without_failover() {
-    // Satellite regression: a dropped WRITE must surface as a Timeout the
-    // *caller* can survive — with failover disabled, the next operation
-    // on the same handle succeeds once the network heals.
+fn timeout_is_recoverable_when_retries_run_out() {
+    // A dropped WRITE must surface as a Timeout the *caller* can survive:
+    // once the retry budget is spent, the next operation on the same
+    // handle succeeds after the network heals.
     let cluster = CausalCluster::<Word>::builder(2, 4)
-        .configure(|c| c.owner_timeout(Duration::from_millis(40)))
+        .configure(|c| c.failover(retries_run_out()))
         .build()
         .unwrap();
     let h1 = cluster.handle(1);
@@ -482,12 +492,11 @@ fn timeout_is_recoverable_without_failover() {
 
 #[test]
 fn stale_replies_are_discarded_not_misattributed() {
-    // Satellite regression: a duplicated W_REPLY leaves a stale message
-    // in the handle's reply channel after the write completes. The next
-    // remote operation (a read of a *different* page on the same owner)
-    // must skip it and wait for its own reply.
+    // A duplicated W_REPLY leaves a stale stamped reply behind after the
+    // write completes. The next remote operation (a read of a *different*
+    // page on the same owner) must skip it and wait for its own reply.
     let cluster = CausalCluster::<Word>::builder(2, 4)
-        .configure(|c| c.owner_timeout(Duration::from_millis(200)))
+        .configure(|c| c.failover(retries_run_out()))
         .build()
         .unwrap();
     let h1 = cluster.handle(1);
@@ -502,6 +511,17 @@ fn stale_replies_are_discarded_not_misattributed() {
     // the duplicated write reply.
     assert_eq!(h1.read(loc(2)).unwrap(), Word::Zero);
     assert_eq!(h1.read(loc(0)).unwrap(), Word::Int(3));
+    // A timed-out attempt's stamp is retired, so any reply it might
+    // still draw is stale too: drop the next READ so the read times out,
+    // then check the handle's next round trip gets its own, fresh value.
+    cluster.set_fault_hook(Some(Arc::new(DropFirst::new("READ", 1))));
+    match h1.read_fresh(loc(2)) {
+        Err(MemoryError::Timeout { owner }) => assert_eq!(owner, n(0)),
+        other => panic!("expected timeout, got {other:?}"),
+    }
+    cluster.set_fault_hook(None);
+    cluster.handle(0).write(loc(2), Word::Int(9)).unwrap();
+    assert_eq!(h1.read_fresh(loc(2)).unwrap(), Word::Int(9));
     cluster.shutdown();
 }
 
@@ -544,6 +564,28 @@ fn owner_crash_migrates_ownership_in_the_threaded_engine() {
         .map_or(0, |(_, c)| *c);
     assert!(suspects > 0, "migration must be announced via SUSPECT");
     // Clear the hook so shutdown's HALT can reach node 0's server thread.
+    cluster.set_fault_hook(None);
+    cluster.shutdown();
+}
+
+#[test]
+fn pipelined_writes_survive_owner_crash_in_the_threaded_engine() {
+    // Under failover each pipelined write travels stamped: the attempts
+    // toward the dead owner expire, its pages migrate to the successor,
+    // and the window is re-sent there, so the barrier completes.
+    let cluster = CausalCluster::<Word>::builder(3, 6)
+        .configure(|c| c.failover(fast_failover()).pipeline_window(4))
+        .build()
+        .unwrap();
+    cluster.set_fault_hook(Some(Arc::new(DeadNode(0))));
+    let h2 = cluster.handle(2);
+    for v in 1..=6 {
+        h2.write_pipelined(loc(0), Word::Int(v)).unwrap();
+    }
+    h2.flush().unwrap();
+    assert_eq!(cluster.pending_pipelined(2), 0);
+    // The successor (node 1) installed the writes in order.
+    assert_eq!(cluster.handle(1).read(loc(0)).unwrap(), Word::Int(6));
     cluster.set_fault_hook(None);
     cluster.shutdown();
 }

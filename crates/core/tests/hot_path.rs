@@ -146,36 +146,22 @@ fn concurrent_hit_readers_share_the_lock_and_send_nothing() {
 }
 
 #[test]
-fn send_failure_rolls_back_nonblocking_registration() {
-    // The racy drain path: a non-blocking write registers its tag (and
-    // bumps the lock-free counter) *before* sending, so a send that fails
-    // must roll both back — otherwise the counter leaks and every later
-    // reply pays the registry lock forever.
-    let cluster = CausalCluster::<Word>::builder(2, 4).build().unwrap();
-    let p0 = cluster.handle(0);
-    cluster.shutdown();
-
-    // Location 1 is owned by node 1, so the write takes the remote
-    // (register-then-send) path and the send fails on the dead network.
-    let err = p0.write_nonblocking(loc(1), Word::Int(7)).unwrap_err();
-    assert!(matches!(err, memcore::MemoryError::Shutdown));
-    assert_eq!(
-        cluster.pending_nonblocking(0),
-        0,
-        "failed send must unregister the write and restore the counter"
-    );
-
-    // Same discipline on the pipelined path (which also holds a window
-    // slot that must be released).
+fn send_failure_rolls_back_pipelined_registration() {
+    // A pipelined write registers its window slot and tag before its
+    // request leaves, so a send that fails must roll both back —
+    // otherwise the slot leaks and a later flush waits for a reply that
+    // cannot come.
     let piped = CausalCluster::<Word>::builder(2, 4)
         .configure(|c| c.pipeline_window(4))
         .build()
         .unwrap();
     let h0 = piped.handle(0);
     piped.shutdown();
+    // Location 1 is owned by node 1, so the write takes the remote
+    // (register-then-send) path and the send fails on the dead network.
     let err = h0.write_pipelined(loc(1), Word::Int(7)).unwrap_err();
     assert!(matches!(err, memcore::MemoryError::Shutdown));
-    assert_eq!(piped.pending_nonblocking(0), 0);
+    assert_eq!(piped.pending_pipelined(0), 0);
     h0.flush()
         .expect("rolled-back pipeline is idle; flush is a no-op");
 }

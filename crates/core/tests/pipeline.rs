@@ -21,7 +21,7 @@ fn window_zero_is_the_blocking_protocol() {
     let cluster = CausalCluster::<Word>::builder(2, 4).build().unwrap();
     let p0 = cluster.handle(0);
     p0.write_pipelined(loc(1), Word::Int(5)).unwrap();
-    assert_eq!(cluster.pending_nonblocking(0), 0);
+    assert_eq!(cluster.pending_pipelined(0), 0);
     let snap = cluster.messages().snapshot();
     assert_eq!(snap.kind_total("WRITE"), 1);
     assert_eq!(snap.kind_total("W_REPLY"), 1);
@@ -43,12 +43,12 @@ fn pipelined_writes_complete_and_flush_is_a_barrier() {
         let wid = p0.write_pipelined(loc(1), Word::Int(i)).unwrap();
         assert_eq!(wid.writer(), Some(memcore::NodeId::new(0)));
         assert!(
-            cluster.pending_nonblocking(0) <= 4,
+            cluster.pending_pipelined(0) <= 4,
             "the window must cap in-flight writes"
         );
     }
     p0.flush().unwrap();
-    assert_eq!(cluster.pending_nonblocking(0), 0);
+    assert_eq!(cluster.pending_pipelined(0), 0);
     assert_eq!(*p1.read_shared(loc(1)).unwrap(), Word::Int(19));
     assert_eq!(*p0.read_shared(loc(1)).unwrap(), Word::Int(19));
     // All 20 writes crossed the wire individually (no batching here).
@@ -150,39 +150,44 @@ fn batching_coalesces_envelopes_but_not_logical_counts() {
 }
 
 #[test]
-fn flush_is_a_barrier_for_raw_nonblocking_writes() {
-    // flush() documents covering raw write_nonblocking replies too — even
-    // with the pipeline disabled (window 0, the default). After the
-    // barrier nothing may be outstanding and the owner must hold the
-    // final value.
+fn flush_is_a_barrier_for_pipelined_writes() {
+    // With the pipeline on, a burst of pipelined writes leaves replies
+    // outstanding; after the barrier nothing may be outstanding and the
+    // owner must hold the final value. With a window of 0 (the default)
+    // pipelined writes are blocking writes, and flush has nothing to wait
+    // for.
     let cluster = CausalCluster::<Word>::builder(2, 4).build().unwrap();
     let p0 = cluster.handle(0);
     for i in 0..50 {
-        p0.write_nonblocking(loc(1), Word::Int(i)).unwrap();
+        p0.write_pipelined(loc(1), Word::Int(i)).unwrap();
     }
     p0.flush().unwrap();
     assert_eq!(
-        cluster.pending_nonblocking(0),
+        cluster.pending_pipelined(0),
         0,
-        "flush returned with non-blocking replies still outstanding"
+        "flush returned with pipelined replies still outstanding"
     );
     assert_eq!(
         *cluster.handle(1).read_shared(loc(1)).unwrap(),
         Word::Int(49)
     );
 
-    // And with pipelining on, one barrier covers both kinds at once.
+    // One barrier covers writes to every location of the window's owner.
     let cluster = CausalCluster::<Word>::builder(2, 4)
         .configure(|c| c.pipeline_window(4))
         .build()
         .unwrap();
     let p0 = cluster.handle(0);
     for i in 0..10 {
-        p0.write_nonblocking(loc(1), Word::Int(i)).unwrap();
+        p0.write_pipelined(loc(1), Word::Int(i)).unwrap();
         p0.write_pipelined(loc(3), Word::Int(i)).unwrap();
     }
     p0.flush().unwrap();
-    assert_eq!(cluster.pending_nonblocking(0), 0);
+    assert_eq!(cluster.pending_pipelined(0), 0);
+    assert_eq!(
+        *cluster.handle(1).read_shared(loc(1)).unwrap(),
+        Word::Int(9)
+    );
     assert_eq!(
         *cluster.handle(1).read_shared(loc(3)).unwrap(),
         Word::Int(9)
@@ -229,7 +234,7 @@ fn local_fast_path_and_pipeline_race_without_deadlock() {
     });
     let p0 = cluster.handle(0);
     p0.flush().unwrap();
-    assert_eq!(cluster.pending_nonblocking(0), 0);
+    assert_eq!(cluster.pending_pipelined(0), 0);
     assert_eq!(*p0.read_shared(loc(0)).unwrap(), Word::Int(N - 1));
     assert_eq!(
         *cluster.handle(1).read_shared(loc(1)).unwrap(),

@@ -139,7 +139,7 @@ impl<V: Value + Wire> DurableActor<V> {
     /// (and syncing per policy) before the caller sends any reply, and
     /// checkpointing when enough records accumulated.
     fn persist(&mut self) {
-        let records = self.inner.inner_mut().state_mut().take_journal();
+        let records = self.inner.inner_mut().take_journal();
         if records.is_empty() {
             return;
         }

@@ -14,9 +14,7 @@ use std::net::TcpListener;
 use std::path::Path;
 use std::time::Duration;
 
-use causal_dsm::{
-    CausalCluster, CausalConfig, CausalHandle, DirDisk, DurableConfig, InlineServer, Msg,
-};
+use causal_dsm::{CausalCluster, CausalHandle, DirDisk, Disk, DurableConfig, InlineServer, Msg};
 use crossbeam_channel::Receiver;
 use memcore::{NodeId, Recorder};
 use simnet::{Envelope, Network};
@@ -160,35 +158,36 @@ impl NetCluster {
         // a pipeline window lets writes overlap, and batching seals the
         // window's messages into Msg::Batch envelopes — which the mesh
         // then carries in single writev calls.
-        let mut builder = CausalConfig::<Payload>::builder(spec.nodes(), spec.locations())
-            .pipeline_window(spec.net().pipeline)
-            .batching(spec.net().batching);
-        if data_dir.is_some() {
-            builder = builder.durability(DurableConfig::default());
+        let mut builder = CausalCluster::<Payload>::builder(spec.nodes(), spec.locations())
+            .configure(|c| {
+                let c = c
+                    .pipeline_window(spec.net().pipeline)
+                    .batching(spec.net().batching);
+                if data_dir.is_some() {
+                    c.durability(DurableConfig::default())
+                } else {
+                    c
+                }
+            })
+            .transport(net, &[me]);
+        if let Some(rec) = recorder {
+            builder = builder.recorder(rec);
         }
-        let config = builder.build();
+        if let Some(dir) = data_dir {
+            let disk: Box<dyn Disk> = Box::new(DirDisk::open(dir)?);
+            builder = builder.disks(vec![(me, disk)]);
+        }
         // Engine before poller: inbound frames that arrive in the gap sit
         // in the kernel's socket buffers (the same window they'd spend in
         // a mailbox) until the poller starts and serves them.
-        let (cluster, server) = match data_dir {
-            None => CausalCluster::with_inline_transport(config, recorder, net, me)
-                .expect("engine rejected configuration"),
-            Some(dir) => {
-                let disk = DirDisk::open(dir)?;
-                let (cluster, server) = CausalCluster::with_durable_inline_transport(
-                    config,
-                    recorder,
-                    net,
-                    me,
-                    Box::new(disk),
-                )
-                .expect("engine rejected configuration");
-                // The sessions must speak for the recovered life before
-                // any frame leaves: peers fence on the incarnation.
-                mesh.set_incarnation(cluster.node_incarnation(me.index() as u32));
-                (cluster, server)
-            }
-        };
+        let (cluster, server) = builder
+            .build_inline()
+            .expect("engine rejected configuration");
+        if data_dir.is_some() {
+            // The sessions must speak for the recovered life before any
+            // frame leaves: peers fence on the incarnation.
+            mesh.set_incarnation(cluster.node_incarnation(me.index() as u32));
+        }
         mesh.start(InlineSink {
             server,
             nodes: spec.nodes() as usize,
